@@ -20,11 +20,10 @@ from .spectral import (
     GevreyParams,
     ModeBasis,
     SpectralState,
+    _LOG_MAX,
     gevrey_norm,
     hamiltonian,
 )
-
-_LOG_MAX = math.log(np.finfo(float).max)
 
 # Multiplicative slack applied when selecting the smallest admissible M.
 _M_MARGIN = 1e-6

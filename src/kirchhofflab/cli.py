@@ -12,7 +12,8 @@ exit status:
     64  usage or scenario parse error
 
 Outputs are deterministic: no timestamps, floats rendered with shortest
-round-trip decimals, mode-parallel results reassembled by index.
+round-trip decimals, one serial mode sweep (``--workers`` and
+KIRCHHOFFLAB_WORKERS are validated for compatibility but change nothing).
 """
 from __future__ import annotations
 
@@ -61,10 +62,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -86,16 +83,20 @@ def _write_json(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
+# Rows formatted per block: column-wise formatting is fast, and blocks keep
+# the Python floats and strings of a long trajectory from all living at once.
+_CSV_BLOCK = 1024
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
-    fmts = [
-        (lambda x: str(int(x))) if np.issubdtype(np.asarray(col).dtype, np.integer) else _fmt
-        for col in columns
-    ]
+    cols = [np.asarray(c) for c in columns]
+    cols = [c if np.issubdtype(c.dtype, np.integer) else c.astype(float) for c in cols]
+    fmts = [str if np.issubdtype(c.dtype, np.integer) else repr for c in cols]
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        for i in range(rows):
-            f.write(",".join(fmt(col[i]) for fmt, col in zip(fmts, columns)) + "\n")
+        for i in range(0, len(cols[0]), _CSV_BLOCK):
+            cells = [map(fmt, c[i:i + _CSV_BLOCK].tolist()) for fmt, c in zip(fmts, cols)]
+            f.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _scenario_certificate(scn: Scenario):
@@ -141,7 +142,7 @@ def _write_trajectory(out: Path, scn: Scenario, traj) -> dict:
     }
 
 
-def cmd_simulate(scn: Scenario, out: Path, workers: int) -> int:
+def cmd_simulate(scn: Scenario, out: Path) -> int:
     basis = scn.build_basis()
     run = KirchhoffRun(
         basis=basis,
@@ -159,7 +160,7 @@ def cmd_simulate(scn: Scenario, out: Path, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_fixedpoint(scn: Scenario, out: Path, workers: int, tol: float | None) -> int:
+def cmd_fixedpoint(scn: Scenario, out: Path, tol: float | None) -> int:
     basis = scn.build_basis()
     run = KirchhoffRun(
         basis=basis,
@@ -170,7 +171,7 @@ def cmd_fixedpoint(scn: Scenario, out: Path, workers: int, tol: float | None) ->
         method="fixed-point",
     )
     use_tol = tol if tol is not None else scn.tol
-    report = fixed_point_solve(run, tol=use_tol, max_iter=scn.max_iter, workers=workers)
+    report = fixed_point_solve(run, tol=use_tol, max_iter=scn.max_iter)
 
     _write_csv(
         out / f"{scn.name}-distances.csv",
@@ -219,7 +220,7 @@ def cmd_fixedpoint(scn: Scenario, out: Path, workers: int, tol: float | None) ->
     return EXIT_OK
 
 
-def cmd_linear_audit(scn: Scenario, out: Path, workers: int) -> int:
+def cmd_linear_audit(scn: Scenario, out: Path) -> int:
     if scn.manufactured is None:
         raise ScenarioError(f"{scn.name}: linear-audit requires options.manufactured")
     m = scn.manufactured
@@ -238,7 +239,7 @@ def cmd_linear_audit(scn: Scenario, out: Path, workers: int) -> int:
     )
 
     admissibility = check_admissibility(coeff, cls, tol=1e-12)
-    traj = solve_linear(problem, grid, workers=workers)
+    traj = solve_linear(problem, grid)
     bound = verify_energy_bound(problem, traj)  # may raise HypothesisError
 
     mono_rtol = 1e-6
@@ -342,7 +343,7 @@ def cmd_norms(scn: Scenario) -> int:
         ("data_radius", cert.data_radius(state.position, state.velocity, basis, gp)),
     ]
     for key, value in rows:
-        print(f"{key} = {_fmt(value)}")
+        print(f"{key} = {float(value)!r}")
     return EXIT_OK
 
 
@@ -367,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out-dir", default=".", help="directory for output artifacts")
-        p.add_argument("--workers", type=int, default=None, help="mode-solve worker count")
+        p.add_argument("--workers", type=int, default=None, help="ignored; kept for compatibility")
         p.add_argument("--tol", type=float, default=None, help="override scenario tolerance")
     return parser
 
@@ -381,15 +382,15 @@ def main(argv=None) -> int:
 
     try:
         scn = load_scenario(args.config)
-        workers = _resolve_workers(args.workers)
+        _resolve_workers(args.workers)  # validated only: the mode sweep is serial
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if args.subcommand == "simulate":
-            return cmd_simulate(scn, out, workers)
+            return cmd_simulate(scn, out)
         if args.subcommand == "fixedpoint":
-            return cmd_fixedpoint(scn, out, workers, args.tol)
+            return cmd_fixedpoint(scn, out, args.tol)
         if args.subcommand == "linear-audit":
-            return cmd_linear_audit(scn, out, workers)
+            return cmd_linear_audit(scn, out)
         if args.subcommand == "certify":
             return cmd_certify(scn, out)
         return cmd_norms(scn)

@@ -112,10 +112,9 @@ class CoefficientPath:
         )
 
     def to_csv(self, path) -> None:
+        rows = map(",".join, zip(map(repr, self.times.tolist()), map(repr, self.values.tolist())))
         with open(path, "w", encoding="utf-8") as f:
-            f.write("t,c\n")
-            for t, c in zip(self.times, self.values):
-                f.write(f"{float(t)!r},{float(c)!r}\n")
+            f.write("\n".join(["t,c", *rows]) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "CoefficientPath":
@@ -287,6 +286,7 @@ def graded_grid(
     becomes smaller, after which the remaining gap shrinks by ``grading_ratio``
     each step.  Used where a slope envelope blows up at the horizon, so the
     difference-quotient audit keeps resolution where the bound is large.
+    Each step advances by at least one ulp, so the grid ends in finite time.
     """
     if not 0.0 < grading_ratio < 1.0:
         raise ValueError("grading ratio must lie in (0, 1)")
@@ -295,10 +295,12 @@ def graded_grid(
     if not base_step > 0.0:
         raise ValueError("base step must be positive")
     t_stop = horizon - end_gap
+    if not t_stop < horizon:
+        raise ValueError(f"end gap {end_gap} is below the resolution of horizon {horizon}")
     out = [0.0]
     t = 0.0
     while t < t_stop:
         h = min(base_step, (1.0 - grading_ratio) * (horizon - t))
-        t = min(t + h, t_stop)
+        t = min(max(t + h, math.nextafter(t, math.inf)), t_stop)
         out.append(t)
     return np.array(out)

@@ -14,7 +14,6 @@ nonincreasing along the flow.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +25,10 @@ from .spectral import (
     ModeBasis,
     SpectralState,
     Trajectory,
+    _LOG_MAX,
     gevrey_norm,
     same_basis,
 )
-
-_LOG_MAX = math.log(np.finfo(float).max)
 
 # Stability/accuracy guard: largest admissible c_max * sqrt(lambda) * dt.
 GUARD = 0.5
@@ -103,41 +101,55 @@ def _validate_grid(coeff: CoefficientPath, grid: np.ndarray) -> np.ndarray:
     return g
 
 
-def _rk4_modes(
-    lam: np.ndarray,
-    v0: np.ndarray,
-    w0: np.ndarray,
-    grid: np.ndarray,
-    c2_nodes: np.ndarray,
-    c2_mids: np.ndarray,
-):
-    """March all modes at once; returns (V, W) of shape (modes, times)."""
-    n, m = lam.size, grid.size
-    V = np.empty((n, m))
-    W = np.empty((n, m))
-    V[:, 0] = v0
-    W[:, 0] = w0
-    v = v0.copy()
-    w = w0.copy()
+# Time steps whose propagator entries are built at once; bounds the
+# (steps, modes) temporaries for wide bases.
+_BLOCK = 128
+
+
+def _rk4_propagators(lam, h, c2_start, c2_mid, c2_end):
+    """Entries (pvv, pvw, pwv, pww), shape (steps, modes), of classical RK4 steps.
+
+    The equation is linear, so a step maps (v, w) to (pvv*v + pvw*w,
+    pwv*v + pww*w).  Each entry is a polynomial of degree <= 2 in lambda whose
+    coefficients depend on h and on c^2 at the step's start, midpoint and end.
+    """
+    h2 = h * h
+    lam2 = lam * lam
+
+    def poly(c0, c1, c2):
+        out = np.outer(c2, lam2)
+        out += np.outer(c1, lam)
+        out += c0
+        return out
+
+    ca, cm, cb = c2_start, c2_mid, c2_end
+    pvv = poly(1.0, -h2 * (ca + 2.0 * cm) / 6.0, h2 * h2 * cm * ca / 24.0)
+    pvw = h[:, None] - np.outer(h * h2 * cm / 6.0, lam)
+    pwv = poly(0.0, -h * (ca + 4.0 * cm + cb) / 6.0, h * h2 * cm * (ca + cb) / 12.0)
+    pww = poly(1.0, -h2 * (2.0 * cm + cb) / 6.0, h2 * h2 * cb * cm / 24.0)
+    return pvv, pvw, pwv, pww
+
+
+def _rk4_modes(coeff, lam, v0, w0, grid):
+    """March all modes along a validated grid; returns (V, W) of shape (modes, times)."""
+    _check_guard(float(np.max(coeff.values)), float(np.max(lam)), grid)
+    c2_nodes = coeff.evaluate(grid) ** 2
+    c2_mids = coeff.evaluate(0.5 * (grid[:-1] + grid[1:])) ** 2
+    m = grid.size
+    V = np.empty((m, lam.size))
+    W = np.empty((m, lam.size))
+    V[0], W[0] = v, w = v0, w0
     hs = np.diff(grid)
-    for i in range(m - 1):
-        h = hs[i]
-        a0 = c2_nodes[i] * lam
-        am = c2_mids[i] * lam
-        a1 = c2_nodes[i + 1] * lam
-        k1v = w
-        k1w = -a0 * v
-        k2v = w + 0.5 * h * k1w
-        k2w = -am * (v + 0.5 * h * k1v)
-        k3v = w + 0.5 * h * k2w
-        k3w = -am * (v + 0.5 * h * k2v)
-        k4v = w + h * k3w
-        k4w = -a1 * (v + h * k3v)
-        v = v + (h / 6.0) * (k1v + 2.0 * (k2v + k3v) + k4v)
-        w = w + (h / 6.0) * (k1w + 2.0 * (k2w + k3w) + k4w)
-        V[:, i + 1] = v
-        W[:, i + 1] = w
-    return V, W
+    for start in range(0, m - 1, _BLOCK):
+        stop = min(start + _BLOCK, m - 1)
+        props = _rk4_propagators(
+            lam, hs[start:stop], c2_nodes[start:stop], c2_mids[start:stop],
+            c2_nodes[start + 1:stop + 1],
+        )
+        for i, (pvv, pvw, pwv, pww) in enumerate(zip(*props), start + 1):
+            v, w = pvv * v + pvw * w, pwv * v + pww * w
+            V[i], W[i] = v, w
+    return V.T, W.T
 
 
 def solve_mode(
@@ -147,13 +159,7 @@ def solve_mode(
     if not lam > 0.0:
         raise ValueError("eigenvalue must be positive")
     g = _validate_grid(coeff, grid)
-    c_max = float(np.max(coeff.values))
-    _check_guard(c_max, lam, g)
-    c2_nodes = coeff.evaluate(g) ** 2
-    c2_mids = coeff.evaluate(0.5 * (g[:-1] + g[1:])) ** 2
-    V, W = _rk4_modes(
-        np.array([lam]), np.array([float(v0)]), np.array([float(v1)]), g, c2_nodes, c2_mids
-    )
+    V, W = _rk4_modes(coeff, np.array([lam]), np.array([float(v0)]), np.array([float(v1)]), g)
     return ModeTrajectory(times=g, v=V[0], vdot=W[0], mu=math.sqrt(lam))
 
 
@@ -167,48 +173,21 @@ def solve_modes(
 ) -> Trajectory:
     """Integrate every basis mode with a shared coefficient path.
 
-    Mode solves are independent; with ``workers > 1`` the modes are split into
-    contiguous chunks solved on a thread pool and reassembled by index, so the
-    result does not depend on the worker count.
+    All modes advance together in one serial sweep over the grid.  ``workers``
+    is accepted for compatibility and has no effect.
     """
     g = _validate_grid(coeff, grid)
     v0 = np.asarray(position, dtype=float)
     w0 = np.asarray(velocity, dtype=float)
     if v0.shape != (basis.count,) or w0.shape != (basis.count,):
         raise ValueError("initial data length must match the basis")
-    lam = basis.eigenvalues
-    c_max = float(np.max(coeff.values))
-    _check_guard(c_max, float(lam[-1]), g)
-    c2_nodes = coeff.evaluate(g) ** 2
-    c2_mids = coeff.evaluate(0.5 * (g[:-1] + g[1:])) ** 2
-
-    if workers <= 1 or basis.count < 2:
-        V, W = _rk4_modes(lam, v0, w0, g, c2_nodes, c2_mids)
-        return Trajectory(basis, g, V, W)
-
-    chunks = np.array_split(np.arange(basis.count), min(workers, basis.count))
-    V = np.empty((basis.count, g.size))
-    W = np.empty((basis.count, g.size))
-
-    def run(idx):
-        return idx, _rk4_modes(lam[idx], v0[idx], w0[idx], g, c2_nodes, c2_mids)
-
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        for idx, (vc, wc) in pool.map(run, chunks):
-            V[idx] = vc
-            W[idx] = wc
+    V, W = _rk4_modes(coeff, basis.eigenvalues, v0, w0, g)
     return Trajectory(basis, g, V, W)
 
 
 def solve_linear(problem: LinearProblem, grid, workers: int = 1) -> Trajectory:
-    return solve_modes(
-        problem.coeff,
-        problem.basis,
-        problem.initial.position,
-        problem.initial.velocity,
-        grid,
-        workers=workers,
-    )
+    init = problem.initial
+    return solve_modes(problem.coeff, problem.basis, init.position, init.velocity, grid)
 
 
 def mode_trajectory(traj: Trajectory, k: int) -> ModeTrajectory:
@@ -447,11 +426,13 @@ def verify_energy_bound(problem: LinearProblem, traj: Trajectory) -> EnergyBound
     ep = gp.eta - threshold
     s = gp.s
     mu = problem.basis.frequencies
-    # Sanity check used when assembling the shifted radius: for every mode,
-    # mu^(1 - 1/(qs-s)) <= 1 + mu^(1/s).  Holds for all mu >= 1.
-    assert np.all(
-        mu ** (1.0 - 1.0 / (cls.q * s - s)) <= 1.0 + mu ** (1.0 / s)
-    ), "frequency inequality violated; basis has sub-unit frequencies"
+    # The shifted radius needs mu^(1 - 1/(qs-s)) <= 1 + mu^(1/s) for every
+    # mode, which holds for all mu >= 1.
+    if not np.all(mu ** (1.0 - 1.0 / (cls.q * s - s)) <= 1.0 + mu ** (1.0 / s)):
+        raise HypothesisError(
+            "frequency inequality mu^(1 - 1/(qs-s)) <= 1 + mu^(1/s) violated; "
+            "basis has sub-unit frequencies"
+        )
 
     sigma = problem.sigma
     const = max(cls.M**2, 1.0) * math.exp(

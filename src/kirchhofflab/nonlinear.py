@@ -91,10 +91,7 @@ def induced_speed(coeff: CoefficientPath, run: KirchhoffRun, workers: int = 1) -
     Solves every mode with ``coeff`` and returns sqrt(1 + D(t)) sampled on the
     run grid, D being the Dirichlet energy of the solution.
     """
-    traj = solve_modes(
-        coeff, run.basis, run.initial.position, run.initial.velocity, run.grid,
-        workers=workers,
-    )
+    traj = solve_modes(coeff, run.basis, run.initial.position, run.initial.velocity, run.grid)
     return CoefficientPath(run.grid, traj.induced_speed_series())
 
 
@@ -121,10 +118,7 @@ def fixed_point_solve(
     distances: list[float] = []
     traj = None
     for _ in range(max_iter):
-        traj = solve_modes(
-            coeff, run.basis, run.initial.position, run.initial.velocity, run.grid,
-            workers=workers,
-        )
+        traj = solve_modes(coeff, run.basis, run.initial.position, run.initial.velocity, run.grid)
         new_values = traj.induced_speed_series()
         d = float(np.max(np.abs(new_values - coeff.values)))
         distances.append(d)
@@ -313,14 +307,8 @@ def perturbation_probe(
                     f"slope {report.worst_slope_margin:.3g})"
                 )
 
-    base = solve_modes(
-        coeff, run.basis, run.initial.position, run.initial.velocity, run.grid,
-        workers=workers,
-    )
-    shifted = solve_modes(
-        pert, run.basis, run.initial.position, run.initial.velocity, run.grid,
-        workers=workers,
-    )
+    base = solve_modes(coeff, run.basis, run.initial.position, run.initial.velocity, run.grid)
+    shifted = solve_modes(pert, run.basis, run.initial.position, run.initial.velocity, run.grid)
     dv = shifted.position - base.position
     dw = shifted.velocity - base.velocity
     lam = run.basis.eigenvalues

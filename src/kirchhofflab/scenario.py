@@ -214,6 +214,8 @@ def parse_scenario(doc, source: str = "scenario") -> Scenario:
         if grading >= 1.0:
             _fail(f"{source}.grid.grading_ratio", f"must lie in (0, 1), got {grading}")
     end_gap = _number(grid.get("end_gap", 1e-9), f"{source}.grid.end_gap", lo=0.0, strict_lo=True)
+    if ("end_gap" in grid or grading is not None) and not 0.0 < horizon - end_gap < horizon:
+        _fail(f"{source}.grid.end_gap", f"need 0 < horizon - end_gap < horizon, got {end_gap}")
 
     position, velocity = _parse_initial(_require(doc, "initial", source), count, s, f"{source}.initial")
 

@@ -19,6 +19,9 @@ _LOG_MAX = math.log(np.finfo(float).max)
 
 BASIS_KINDS = ("interval-dirichlet", "torus")
 
+# Samples per block of the norm series; bounds its (modes, samples) temporaries.
+_NORM_CHUNK = 256
+
 
 def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -238,6 +241,25 @@ class Trajectory:
         return np.sqrt(1.0 + self.dirichlet_series())
 
     def state_gevrey_series(self, gp: GevreyParams) -> np.ndarray:
-        return np.array(
-            [state_gevrey_norm(self.state_at(i), gp) for i in range(self.times.size)]
-        )
+        """:func:`state_gevrey_norm` at every sample: one log-sum-exp over modes.
+
+        Raises :class:`RangeOverflowError` when a sample's norm exceeds the
+        double range; all-zero samples have norm 0.
+        """
+        mu = self.basis.frequencies
+        log_w = gp.eta * mu ** (1.0 / gp.s) + np.log(mu)
+        log_w = np.concatenate((log_w + 2.0 * np.log(mu), log_w))[:, None]
+        log_sq = np.empty(self.times.size)
+        with np.errstate(divide="ignore"):
+            for i in range(0, log_sq.size, _NORM_CHUNK):
+                cols = slice(i, i + _NORM_CHUNK)
+                pair = np.concatenate((self.position[:, cols], self.velocity[:, cols]))
+                terms = 2.0 * np.log(np.abs(pair)) + log_w
+                top = terms.max(axis=0)
+                top[top == -np.inf] = 0.0
+                log_sq[cols] = top + np.log(np.exp(terms - top).sum(axis=0))
+        if log_sq.max() > 2.0 * _LOG_MAX:
+            raise RangeOverflowError(
+                "weighted norm overflows double range", log_value=0.5 * float(log_sq.max())
+            )
+        return np.exp(0.5 * log_sq)

@@ -1,7 +1,13 @@
 """Coefficient paths, admissibility audits and the equicontinuity bound."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kirchhofflab
 from kirchhofflab import (
     AdmissibleClass,
     CoefficientPath,
@@ -211,3 +217,34 @@ class TestGrids:
             graded_grid(1.0, 0.01, grading_ratio=1.0)
         with pytest.raises(ValueError):
             graded_grid(1.0, 0.01, end_gap=2.0)
+        with pytest.raises(ValueError, match="resolution"):
+            graded_grid(1.0, 1e-3, 0.9, 1e-17)  # horizon - end_gap == horizon
+
+    def test_graded_ends_below_double_spacing(self):
+        # Near the horizon the graded step falls below the spacing of doubles;
+        # the grid must still end.  Run in a child process under a time bound,
+        # so a regression fails instead of hanging the suite.
+        code = """
+import numpy as np
+from kirchhofflab.coefficient import graded_grid
+rng = np.random.default_rng(0)
+cases = [(1.0, 1e-3, 0.99, 1e-15), (3.0, 1e-3, 0.9, 4e-16)]
+for _ in range(40):
+    horizon = float(rng.uniform(0.1, 2.0))
+    cases.append((horizon, 1e-3, float(rng.uniform(0.5, 0.995)),
+                  horizon * 10.0 ** float(rng.uniform(-17.0, -1.0))))
+for horizon, base, ratio, gap in cases:
+    try:
+        g = graded_grid(horizon, base, ratio, gap)
+    except ValueError:
+        assert horizon - gap == horizon, (horizon, gap)
+        continue
+    assert np.all(np.diff(g) > 0.0) and g[-1] == horizon - gap < horizon
+"""
+        src = str(Path(kirchhofflab.__file__).resolve().parents[1])
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+            check=True,
+        )

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kirchhofflab import (
     AdmissibleClass,
@@ -29,6 +31,7 @@ from kirchhofflab import (
     uniform_grid,
     verify_energy_bound,
 )
+from kirchhofflab.linear import GUARD, _BLOCK, _rk4_modes, _rk4_propagators
 
 Q, S, T = 1.5, 2.0, 1.0
 
@@ -107,6 +110,77 @@ class TestSolveModes:
         t3 = solve_modes(coeff, basis, pos, vel, grid, workers=3)
         assert np.array_equal(t1.position, t3.position)
         assert np.array_equal(t1.velocity, t3.velocity)
+
+
+def reference_rk4_step(lam, v, w, h, c2_start, c2_mid, c2_end):
+    """One classical RK4 step of v' = w, w' = -c^2 lam v, stage by stage."""
+    a0, am, a1 = c2_start * lam, c2_mid * lam, c2_end * lam
+    k1v, k1w = w, -a0 * v
+    k2v, k2w = w + 0.5 * h * k1w, -am * (v + 0.5 * h * k1v)
+    k3v, k3w = w + 0.5 * h * k2w, -am * (v + 0.5 * h * k2v)
+    k4v, k4w = w + h * k3w, -a1 * (v + h * k3v)
+    return (
+        v + (h / 6.0) * (k1v + 2.0 * (k2v + k3v) + k4v),
+        w + (h / 6.0) * (k1w + 2.0 * (k2w + k3w) + k4w),
+    )
+
+
+@st.composite
+def propagator_cases(draw):
+    """Random eigenvalues, c^2 samples, uniform or graded steps inside the guard."""
+    n = draw(st.integers(1, 6))
+    steps = draw(st.integers(1, 6))
+    lam = np.array(draw(st.lists(st.floats(1e-2, 1e4), min_size=n, max_size=n)))
+    c2 = st.floats(0.25, 4.0)
+    c2_nodes = np.array(draw(st.lists(c2, min_size=steps + 1, max_size=steps + 1)))
+    c2_mids = np.array(draw(st.lists(c2, min_size=steps, max_size=steps)))
+    ratio = draw(st.sampled_from([1.0, 0.5, 0.9]))  # 1.0 is a uniform grid
+    c_max = math.sqrt(max(c2_nodes.max(), c2_mids.max()))
+    h0 = draw(st.floats(1e-3, 1.0)) * GUARD / (c_max * math.sqrt(lam.max()))
+    h = h0 * ratio ** np.arange(steps)
+    # no subnormal states: their products lose the digits being compared
+    unit = st.floats(-1.0, 1.0).map(lambda x: 0.0 if abs(x) < 1e-6 else x)
+    v = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    w = np.sqrt(lam) * np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    return lam, h, c2_nodes, c2_mids, v, w
+
+
+class TestPropagator:
+    @settings(max_examples=200, deadline=None)
+    @given(propagator_cases())
+    def test_closed_form_matches_stagewise_step(self, case):
+        lam, h, c2_nodes, c2_mids, v, w = case
+        props = _rk4_propagators(lam, h, c2_nodes[:-1], c2_mids, c2_nodes[1:])
+        for j, (pvv, pvw, pwv, pww) in enumerate(zip(*props)):
+            ref_v, ref_w = reference_rk4_step(
+                lam, v, w, h[j], c2_nodes[j], c2_mids[j], c2_nodes[j + 1]
+            )
+            # relative to the size of the terms that make up each component
+            scale_v = np.abs(pvv * v) + np.abs(pvw * w)
+            scale_w = np.abs(pwv * v) + np.abs(pww * w)
+            assert np.all(np.abs(pvv * v + pvw * w - ref_v) <= 1e-13 * scale_v)
+            assert np.all(np.abs(pwv * v + pww * w - ref_w) <= 1e-13 * scale_w)
+            v, w = ref_v, ref_w
+
+    @pytest.mark.parametrize("steps", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+    def test_march_matches_stagewise_steps_across_blocks(self, steps):
+        rng = np.random.default_rng(steps)
+        lam = np.arange(1.0, 9.0) ** 2
+        grid = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.0, steps) * 0.04)))
+        coeff = CoefficientPath(grid, rng.uniform(1.0, 1.4, steps + 1))
+        c2_nodes = coeff.evaluate(grid) ** 2
+        c2_mids = coeff.evaluate(0.5 * (grid[:-1] + grid[1:])) ** 2
+        v0, w0 = rng.normal(size=8), rng.normal(size=8)
+        V, W = _rk4_modes(coeff, lam, v0, w0, grid)
+        assert V.shape == W.shape == (8, steps + 1)
+        v, w = v0, w0
+        for i in range(steps):
+            v, w = reference_rk4_step(
+                lam, v, w, grid[i + 1] - grid[i], c2_nodes[i], c2_mids[i], c2_nodes[i + 1]
+            )
+        scale = np.max(np.abs(V)) + np.max(np.abs(W)) / np.sqrt(lam[-1])
+        assert np.max(np.abs(V[:, -1] - v)) <= 1e-12 * scale
+        assert np.max(np.abs(W[:, -1] - w) / np.sqrt(lam)) <= 1e-12 * scale
 
 
 class TestRegularizedSpeed:
@@ -310,6 +384,21 @@ class TestVerifyEnergyBound:
         problem = self.setup_problem(coeff, cls, eta=1.0, n=4)
         traj = solve_linear(problem, grid)
         with pytest.raises(HypothesisError):
+            verify_energy_bound(problem, traj)
+
+    def test_sub_unit_frequency_refused(self):
+        # q*s - s < 1 makes mu^(1 - 1/(qs-s)) blow up as mu -> 0, so a
+        # frequency below 1 breaks the inequality the shifted radius needs.
+        basis = ModeBasis("torus", [0.01, 1.0, 2.0])
+        grid = uniform_grid(1.0, 200)
+        coeff = CoefficientPath.constant(1.0, grid)
+        cls = AdmissibleClass(q=1.2, M=1.0, K0=0.0, T=1.0, m0=1.0)
+        problem = LinearProblem(
+            basis, coeff, cls, SpectralState(basis, [0.1, 0.1, 0.1], [0.0] * 3),
+            sigma=1.0, gevrey=GevreyParams(S, 5.0),
+        )
+        traj = solve_linear(problem, grid)
+        with pytest.raises(HypothesisError, match="sub-unit frequencies"):
             verify_energy_bound(problem, traj)
 
     def test_mode_view_round_trip(self):

@@ -125,6 +125,15 @@ class TestScenarioParsing:
         g = scn.build_grid()
         assert g[-1] == pytest.approx(1.0 - 1e-6)
 
+    def test_end_gap_must_leave_a_representable_stop(self, tmp_path):
+        for gap in (1e-17, 1.0, 2.0):
+            doc = minimal_doc(grid={"steps": 100, "grading_ratio": 0.9, "end_gap": gap})
+            with pytest.raises(ScenarioError, match="end_gap"):
+                parse_scenario(doc)
+        doc = minimal_doc(grid={"steps": 100, "grading_ratio": 0.9, "end_gap": 1e-17})
+        code = main(["simulate", "--config", write_doc(tmp_path, doc), "--out-dir", str(tmp_path)])
+        assert code == EXIT_USAGE
+
 
 class TestCliExitCodes:
     def test_simulate_ok(self, tmp_path):

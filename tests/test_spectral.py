@@ -18,6 +18,7 @@ from kirchhofflab import (
     state_gevrey_norm,
 )
 from kirchhofflab.certificate import data_radius
+from kirchhofflab.spectral import _NORM_CHUNK
 
 
 def basis(n=4):
@@ -219,3 +220,36 @@ class TestTrajectory:
         assert state_gevrey_norm(st, gp) == pytest.approx(
             math.sqrt(data_radius(st.position, st.velocity, b, gp)), rel=1e-13
         )
+
+    def test_state_norm_series_matches_per_sample_norm(self):
+        rng = np.random.default_rng(11)
+        b = basis(6)
+        m = 2 * _NORM_CHUNK + 37  # a partial last chunk
+        pos = rng.normal(size=(6, m)) * np.exp(-rng.uniform(0.0, 30.0, size=(6, m)))
+        vel = rng.normal(size=(6, m))
+        pos[:, ::97] = 0.0
+        vel[:, ::97] = 0.0  # all-zero samples
+        vel[2:, 5] = 0.0  # a sample with only some modes set
+        traj = Trajectory(b, np.linspace(0.0, 1.0, m), pos, vel)
+        gp = GevreyParams(1.5, 3.0)
+        series = traj.state_gevrey_series(gp)
+        expected = [state_gevrey_norm(traj.state_at(i), gp) for i in range(m)]
+        assert series.shape == (m,)
+        assert np.all(series[::97] == 0.0)
+        assert np.allclose(series, expected, rtol=1e-13, atol=0.0)
+
+    def test_state_norm_series_overflow(self):
+        # weights near e^1440 exceed the double range unless the coefficient
+        # is small enough to bring the product back
+        b = basis(4)
+        gp = GevreyParams(2.0, 720.0)
+        pos = np.full((4, 3), 1e-100)
+        traj = Trajectory(b, [0.0, 0.5, 1.0], pos, np.zeros((4, 3)))
+        assert np.all(np.isfinite(traj.state_gevrey_series(gp)))
+        pos[3, 1] = 1.0
+        traj = Trajectory(b, [0.0, 0.5, 1.0], pos, np.zeros((4, 3)))
+        with pytest.raises(RangeOverflowError) as err:
+            traj.state_gevrey_series(gp)
+        assert err.value.log_value > math.log(np.finfo(float).max)
+        with pytest.raises(RangeOverflowError):
+            state_gevrey_norm(traj.state_at(1), gp)
