@@ -62,19 +62,11 @@ def eta0(M: float, R: float, T: float, s: float) -> float:
     Exactly equals 2*s*k0_constant(M, R, T, 1 + 1/s) + 4*M^2; implemented
     through that identity so the two stay consistent to the last bit.
     """
-    if not s > 1.0:
-        raise ValueError(f"Gevrey order must satisfy s > 1, got {s}")
     q = q_from_s(s)
     try:
         value = 2.0 * s * k0_constant(M, R, T, q) + 4.0 * M * M
-    except RangeOverflowError as exc:
-        log_val = np.logaddexp(
-            math.log(2.0 * s) + _log_k0(M, R, T, q), math.log(4.0 * M * M)
-        ).item()
-        raise RangeOverflowError(
-            f"threshold radius overflows double range (log value {log_val:.6g})",
-            log_value=log_val,
-        ) from exc
+    except RangeOverflowError:
+        value = math.inf
     if math.isinf(value):
         log_val = np.logaddexp(
             math.log(2.0 * s) + _log_k0(M, R, T, q), math.log(4.0 * M * M)
@@ -92,10 +84,15 @@ def data_radius(u0, u1, basis: ModeBasis, gp: GevreyParams) -> float:
     Returns sum_k e^(eta mu^(1/s)) (mu^3 u0_k^2 + mu u1_k^2); the hypotheses
     compare this against the chosen radius bound R.
     """
-    return (
-        gevrey_norm(u0, basis, gp, sigma=1.5) ** 2
-        + gevrey_norm(u1, basis, gp, sigma=0.5) ** 2
-    )
+    p = gevrey_norm(u0, basis, gp, sigma=1.5)
+    v = gevrey_norm(u1, basis, gp, sigma=0.5)
+    try:
+        radius = p**2 + v**2
+    except OverflowError:
+        radius = math.inf
+    if math.isinf(radius):
+        raise RangeOverflowError("data radius overflows double range")
+    return radius
 
 
 @dataclass(frozen=True)

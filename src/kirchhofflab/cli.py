@@ -112,16 +112,17 @@ def _scenario_certificate(scn: Scenario):
     )
 
 
-def _norm_radius(scn: Scenario) -> tuple[GevreyParams, str]:
-    """Radius used for trajectory norm columns: leftover radius when positive."""
-    c = _scenario_certificate(scn)
-    if c.eta_prime > 0.0:
-        return GevreyParams(scn.gevrey.s, c.eta_prime), "eta_prime"
-    return scn.gevrey, "eta"
+def _build_run(scn: Scenario) -> KirchhoffRun:
+    basis = scn.build_basis()
+    return KirchhoffRun(basis, scn.build_initial(basis), scn.horizon, scn.gevrey, scn.build_grid())
 
 
-def _write_trajectory(out: Path, scn: Scenario, traj) -> dict:
-    gp, which = _norm_radius(scn)
+def _write_trajectory(out: Path, scn: Scenario, traj, certificate: cert.Certificate) -> dict:
+    # Norm columns use the leftover radius eta' when it is positive.
+    if certificate.eta_prime > 0.0:
+        gp, which = GevreyParams(scn.gevrey.s, certificate.eta_prime), "eta_prime"
+    else:
+        gp, which = scn.gevrey, "eta"
     ham = traj.hamiltonian_series()
     speed = traj.induced_speed_series()
     norms = traj.state_gevrey_series(gp)
@@ -143,17 +144,8 @@ def _write_trajectory(out: Path, scn: Scenario, traj) -> dict:
 
 
 def cmd_simulate(scn: Scenario, out: Path) -> int:
-    basis = scn.build_basis()
-    run = KirchhoffRun(
-        basis=basis,
-        initial=scn.build_initial(basis),
-        horizon=scn.horizon,
-        gevrey=scn.gevrey,
-        grid=scn.build_grid(),
-        method="direct-oracle",
-    )
-    traj = direct_oracle(run)
-    info = _write_trajectory(out, scn, traj)
+    traj = direct_oracle(_build_run(scn))
+    info = _write_trajectory(out, scn, traj, _scenario_certificate(scn))
     info["name"] = scn.name
     info["command"] = "simulate"
     _write_json(out / f"{scn.name}-report.json", info)
@@ -161,17 +153,8 @@ def cmd_simulate(scn: Scenario, out: Path) -> int:
 
 
 def cmd_fixedpoint(scn: Scenario, out: Path, tol: float | None) -> int:
-    basis = scn.build_basis()
-    run = KirchhoffRun(
-        basis=basis,
-        initial=scn.build_initial(basis),
-        horizon=scn.horizon,
-        gevrey=scn.gevrey,
-        grid=scn.build_grid(),
-        method="fixed-point",
-    )
     use_tol = tol if tol is not None else scn.tol
-    report = fixed_point_solve(run, tol=use_tol, max_iter=scn.max_iter)
+    report = fixed_point_solve(_build_run(scn), tol=use_tol, max_iter=scn.max_iter)
 
     _write_csv(
         out / f"{scn.name}-distances.csv",
@@ -179,9 +162,8 @@ def cmd_fixedpoint(scn: Scenario, out: Path, tol: float | None) -> int:
         [np.arange(1, report.iterations + 1), np.array(report.distances)],
     )
     report.final_coeff.to_csv(out / f"{scn.name}-coefficient.csv")
-    info = _write_trajectory(out, scn, report.final_solution)
-
     certificate = _scenario_certificate(scn)
+    info = _write_trajectory(out, scn, report.final_solution, certificate)
     image = check_induced_speed(
         report.final_coeff,
         M=certificate.M,

@@ -78,10 +78,13 @@ class LinearProblem:
 
 
 def _check_guard(c_max: float, lam_max: float, grid: np.ndarray) -> None:
-    h_max = float(np.max(np.diff(grid)))
-    reach = c_max * math.sqrt(lam_max) * h_max
+    """The stability guard of every solver: c_max * sqrt(lam_max) * dt <= GUARD."""
+    rate = c_max * math.sqrt(lam_max)
+    if not math.isfinite(rate):
+        raise RangeOverflowError(f"speed bound c_max*sqrt(lambda) = {rate} is not finite")
+    reach = rate * float(np.max(np.diff(grid)))
     if reach > GUARD * (1.0 + 1e-12):
-        required = GUARD / (c_max * math.sqrt(lam_max))
+        required = GUARD / rate
         raise StabilityError(
             f"grid too coarse: c_max*sqrt(lambda)*dt = {reach:.3g} exceeds {GUARD}; "
             f"use dt <= {required:.6g}",
@@ -149,6 +152,8 @@ def _rk4_modes(coeff, lam, v0, w0, grid):
         for i, (pvv, pvw, pwv, pww) in enumerate(zip(*props), start + 1):
             v, w = pvv * v + pvw * w, pwv * v + pww * w
             V[i], W[i] = v, w
+    V.setflags(write=False)  # lets Trajectory adopt the buffers without a copy
+    W.setflags(write=False)
     return V.T, W.T
 
 
@@ -185,7 +190,7 @@ def solve_modes(
     return Trajectory(basis, g, V, W)
 
 
-def solve_linear(problem: LinearProblem, grid, workers: int = 1) -> Trajectory:
+def solve_linear(problem: LinearProblem, grid) -> Trajectory:
     init = problem.initial
     return solve_modes(problem.coeff, problem.basis, init.position, init.velocity, grid)
 
@@ -229,22 +234,31 @@ def _end_value(coeff: CoefficientPath, cls: AdmissibleClass) -> float:
     return float(coeff.values[-1]) if coeff.end_time < cls.T else coeff.evaluate(cls.T)
 
 
-def regularized_speed(
-    coeff: CoefficientPath, t: float, mu: float, cls: AdmissibleClass, s: float
-) -> float:
-    """Frequency-dependent regularisation of the speed.
+def _regularized_speeds(
+    coeff: CoefficientPath, times: np.ndarray, mu: float, cls: AdmissibleClass, s: float
+) -> np.ndarray:
+    """Regularised speed c_reg of frequency ``mu`` at each of ``times``.
 
     Low-frequency modes see the constant horizon value; high-frequency modes
     see c(t) until the freeze time and the frozen value c(t_freeze) after it.
+    Only times up to the freeze time are evaluated on the path.
     """
-    if t < 0.0 or t > cls.T * (1.0 + 1e-12):
-        raise ValueError(f"time {t} outside [0, {cls.T}]")
     low, t_f = _freeze_time(mu, cls, s)
     if low:
-        return _end_value(coeff, cls)
-    if t <= t_f:
-        return coeff.evaluate(t)
-    return coeff.evaluate(t_f)
+        return np.full(times.shape, _end_value(coeff, cls))
+    out = np.full(times.shape, coeff.evaluate(min(t_f, coeff.end_time)))
+    follow = times <= t_f
+    out[follow] = coeff.evaluate(times[follow])
+    return out
+
+
+def regularized_speed(
+    coeff: CoefficientPath, t: float, mu: float, cls: AdmissibleClass, s: float
+) -> float:
+    """Frequency-dependent regularisation of the speed at one time in [0, T]."""
+    if t < 0.0 or t > cls.T * (1.0 + 1e-12):
+        raise ValueError(f"time {t} outside [0, {cls.T}]")
+    return float(_regularized_speeds(coeff, np.array([float(t)]), mu, cls, s)[0])
 
 
 def decay_rate(
@@ -303,23 +317,15 @@ def _decay_cumulative(
         pts = np.union1d(pts, [t_f])
     a, b = pts[:-1], pts[1:]
 
-    seg = np.clip(np.searchsorted(coeff.times, a, side="right") - 1, 0, coeff.times.size - 2)
-    slopes = coeff.interval_slopes()[seg]
-    c_a = coeff.evaluate(a)
-    c_b = coeff.evaluate(b)
+    c = coeff.evaluate(pts)
+    gap = np.abs(_regularized_speeds(coeff, pts, mu, cls, s) - c)
     gamma = 2.0 * cls.M / cls.m0
-
-    if low:
-        c_ref = _end_value(coeff, cls)
-        contrib = 0.5 * (b - a) * gamma * mu * (np.abs(c_ref - c_a) + np.abs(c_ref - c_b))
-    else:
-        c_ref = coeff.evaluate(min(t_f, coeff.end_time))
-        follow = b <= t_f
-        frozen_part = 0.5 * (b - a) * gamma * mu * (
-            np.abs(c_ref - c_a) + np.abs(c_ref - c_b)
-        )
-        follow_part = (b - a) * np.abs(slopes) * (1.0 / c_a + 1.0 / c_b)
-        contrib = np.where(follow, follow_part, frozen_part)
+    contrib = 0.5 * (b - a) * gamma * mu * (gap[:-1] + gap[1:])
+    if not low:
+        seg = np.clip(np.searchsorted(coeff.times, a, side="right") - 1, 0, coeff.times.size - 2)
+        slopes = coeff.interval_slopes()[seg]
+        follow_part = (b - a) * np.abs(slopes) * (1.0 / c[:-1] + 1.0 / c[1:])
+        contrib = np.where(b <= t_f, follow_part, contrib)
 
     cum = np.concatenate(([0.0], np.cumsum(contrib)))
     return cum[np.searchsorted(pts, eval_times, side="left")]
@@ -358,15 +364,7 @@ def approximate_energy(
     ):
         raise ValueError("trajectory and coefficient must share the same time grid")
     mu = traj.mu
-    low, t_f = _freeze_time(mu, cls, gp.s)
-    if low:
-        c_reg = np.full(traj.times.shape, _end_value(coeff, cls))
-    else:
-        c_reg = np.where(
-            traj.times <= t_f,
-            coeff.values,
-            coeff.evaluate(min(t_f, coeff.end_time)),
-        )
+    c_reg = _regularized_speeds(coeff, coeff.times, mu, cls, gp.s)
     acc = _decay_cumulative(coeff, traj.times, mu, cls, gp.s)
     exponent = -acc + gp.eta * mu ** (1.0 / gp.s) + 2.0 * (sigma - 1.0) * math.log(mu)
     if float(np.max(exponent)) > _LOG_MAX:
@@ -380,7 +378,13 @@ def approximate_energy(
 
 def radius_loss(cls: AdmissibleClass) -> float:
     """Radius the energy estimate consumes: 2*K0/(m0*(q-1)) + 4*M^2/m0."""
-    return 2.0 * cls.K0 / (cls.m0 * (cls.q - 1.0)) + 4.0 * cls.M**2 / cls.m0
+    try:
+        loss = 2.0 * cls.K0 / (cls.m0 * (cls.q - 1.0)) + 4.0 * cls.M**2 / cls.m0
+    except OverflowError:
+        loss = math.inf
+    if math.isinf(loss):
+        raise RangeOverflowError("radius loss overflows double range")
+    return loss
 
 
 def eta_prime(gp: GevreyParams, cls: AdmissibleClass) -> float:
@@ -435,9 +439,14 @@ def verify_energy_bound(problem: LinearProblem, traj: Trajectory) -> EnergyBound
         )
 
     sigma = problem.sigma
-    const = max(cls.M**2, 1.0) * math.exp(
-        4.0 * cls.M**2 / cls.m0 * max(1.0, cls.T ** (1.0 - (cls.q * s - s)))
-    )
+    try:
+        const = max(cls.M**2, 1.0) * math.exp(
+            4.0 * cls.M**2 / cls.m0 * max(1.0, cls.T ** (1.0 - (cls.q * s - s)))
+        )
+    except OverflowError:
+        const = math.inf
+    if math.isinf(const):
+        raise RangeOverflowError("energy-bound constant overflows double range")
     u0 = problem.initial.position
     u1 = problem.initial.velocity
     data_sq = (

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficient import AdmissibleClass, CoefficientPath, check_admissibility
-from .errors import HypothesisError, StabilityError
-from .linear import GUARD, solve_modes
+from .errors import HypothesisError
+from .linear import _check_guard, solve_modes
 from .spectral import (
     GevreyParams,
     ModeBasis,
@@ -29,27 +29,22 @@ from .spectral import (
     sobolev_norm,
 )
 
-RUN_METHODS = ("fixed-point", "direct-oracle")
-
 
 @dataclass(frozen=True, eq=False)
 class KirchhoffRun:
-    """One nonlinear run: data, horizon, output grid and solve method."""
+    """One nonlinear run: data, horizon and output grid."""
 
     basis: ModeBasis
     initial: SpectralState
     horizon: float
     gevrey: GevreyParams
     grid: np.ndarray
-    method: str = "fixed-point"
 
     def __post_init__(self):
         if not same_basis(self.initial.basis, self.basis):
             raise ValueError("initial state must live on the run basis")
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
-        if self.method not in RUN_METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
         g = np.array(self.grid, dtype=float)
         if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0.0):
             raise ValueError("grid must be strictly increasing")
@@ -85,7 +80,7 @@ class FixedPointReport:
             raise ValueError("distances must be nonnegative")
 
 
-def induced_speed(coeff: CoefficientPath, run: KirchhoffRun, workers: int = 1) -> CoefficientPath:
+def induced_speed(coeff: CoefficientPath, run: KirchhoffRun) -> CoefficientPath:
     """Map a speed to the speed induced by the linear solution it generates.
 
     Solves every mode with ``coeff`` and returns sqrt(1 + D(t)) sampled on the
@@ -99,7 +94,6 @@ def fixed_point_solve(
     run: KirchhoffRun,
     tol: float = 1e-10,
     max_iter: int = 30,
-    workers: int = 1,
 ) -> FixedPointReport:
     """Iterate the induced-speed map from the constant initial speed.
 
@@ -116,8 +110,8 @@ def fixed_point_solve(
     c0 = math.sqrt(1.0 + dirichlet_energy(run.initial))
     coeff = CoefficientPath.constant(c0, run.grid)
     distances: list[float] = []
-    traj = None
     for _ in range(max_iter):
+        traj = None  # release the previous iterate before the next solve allocates
         traj = solve_modes(coeff, run.basis, run.initial.position, run.initial.velocity, run.grid)
         new_values = traj.induced_speed_series()
         d = float(np.max(np.abs(new_values - coeff.values)))
@@ -141,32 +135,19 @@ def direct_oracle(run: KirchhoffRun) -> Trajectory:
     which bounds the induced speed for as long as the energy is conserved.
     """
     lam = run.basis.eigenvalues
-    c_max = run.speed_ceiling()
-    h_max = float(np.max(np.diff(run.grid)))
-    reach = c_max * math.sqrt(float(lam[-1])) * h_max
-    if reach > GUARD * (1.0 + 1e-12):
-        required = GUARD / (c_max * math.sqrt(float(lam[-1])))
-        raise StabilityError(
-            f"grid too coarse for the coupled solve: c_max*sqrt(lambda)*dt = "
-            f"{reach:.3g} exceeds {GUARD}; use dt <= {required:.6g}",
-            required_step=required,
-        )
+    _check_guard(run.speed_ceiling(), float(lam[-1]), run.grid)
 
     g = run.grid
     n, m = run.basis.count, g.size
     V = np.empty((n, m))
     W = np.empty((n, m))
-    v = run.initial.position.copy()
-    w = run.initial.velocity.copy()
-    V[:, 0] = v
-    W[:, 0] = w
+    v, w = run.initial.position, run.initial.velocity
+    V[:, 0], W[:, 0] = v, w
 
     def acc(pos):
         return -(1.0 + lam @ (pos * pos)) * (lam * pos)
 
-    hs = np.diff(g)
-    for i in range(m - 1):
-        h = hs[i]
+    for i, h in enumerate(np.diff(g)):
         k1v = w
         k1w = acc(v)
         k2v = w + 0.5 * h * k1w
@@ -177,8 +158,9 @@ def direct_oracle(run: KirchhoffRun) -> Trajectory:
         k4w = acc(v + h * k3v)
         v = v + (h / 6.0) * (k1v + 2.0 * (k2v + k3v) + k4v)
         w = w + (h / 6.0) * (k1w + 2.0 * (k2w + k3w) + k4w)
-        V[:, i + 1] = v
-        W[:, i + 1] = w
+        V[:, i + 1], W[:, i + 1] = v, w
+    V.setflags(write=False)  # lets Trajectory adopt the buffers without a copy
+    W.setflags(write=False)
     return Trajectory(run.basis, g, V, W)
 
 
@@ -285,7 +267,6 @@ def perturbation_probe(
     coeff: CoefficientPath,
     delta: float,
     cls: AdmissibleClass | None = None,
-    workers: int = 1,
 ) -> PerturbationReport:
     """Solve with a speed and its bump perturbation, and measure the gap energy.
 

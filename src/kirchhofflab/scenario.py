@@ -199,6 +199,8 @@ def parse_scenario(doc, source: str = "scenario") -> Scenario:
     gev = _get_map(_require(doc, "gevrey", source), f"{source}.gevrey")
     _check_keys(gev, {"s", "eta"}, f"{source}.gevrey")
     s = _number(_require(gev, "s", f"{source}.gevrey"), f"{source}.gevrey.s", lo=1.0, strict_lo=True)
+    if not 1.0 + 1.0 / s > 1.0:
+        _fail(f"{source}.gevrey.s", f"too large: q = 1 + 1/s rounds to 1, got {s}")
     eta = _number(
         _require(gev, "eta", f"{source}.gevrey"), f"{source}.gevrey.eta", lo=0.0, strict_lo=True
     )

@@ -24,9 +24,21 @@ _NORM_CHUNK = 256
 
 
 def _readonly(a) -> np.ndarray:
+    """Read-only float array: ``a`` itself when nothing can write through it, else a copy."""
+    if _immutable(a) and a.dtype == float:
+        return a
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _immutable(a) -> bool:
+    # Read-only all the way down: neither the array nor any array it views is writable.
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        if a.base is None:
+            return True
+        a = a.base
+    return False
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,7 @@ from kirchhofflab import (
     OscillatingSpeed,
     SpectralState,
     StabilityError,
+    Trajectory,
     approximate_energy,
     decay_integral,
     decay_integral_bound,
@@ -110,6 +111,15 @@ class TestSolveModes:
         t3 = solve_modes(coeff, basis, pos, vel, grid, workers=3)
         assert np.array_equal(t1.position, t3.position)
         assert np.array_equal(t1.velocity, t3.velocity)
+
+    def test_trajectory_adopts_the_sweep_buffers(self):
+        basis = ModeBasis.interval_dirichlet(4)
+        grid = uniform_grid(1.0, 50)
+        coeff = CoefficientPath.constant(1.0, grid)
+        V, W = _rk4_modes(coeff, basis.eigenvalues, np.ones(4), np.zeros(4), grid)
+        assert not V.flags.writeable and not W.flags.writeable
+        traj = Trajectory(basis, grid, V, W)
+        assert np.shares_memory(traj.position, V) and np.shares_memory(traj.velocity, W)
 
 
 def reference_rk4_step(lam, v, w, h, c2_start, c2_mid, c2_end):

@@ -11,6 +11,7 @@ from kirchhofflab import (
     HypothesisError,
     KirchhoffRun,
     ModeBasis,
+    RangeOverflowError,
     SpectralState,
     StabilityError,
     check_induced_speed,
@@ -24,6 +25,7 @@ from kirchhofflab import (
     sup_distance,
     uniform_grid,
 )
+from kirchhofflab.linear import GUARD
 
 GP = GevreyParams(s=2.0, eta=2.0)
 
@@ -145,7 +147,16 @@ class TestDirectOracle:
 
     def test_guard_violation(self):
         run = make_run([0.1], n=32, steps=10)
-        with pytest.raises(StabilityError):
+        with pytest.raises(StabilityError) as err:
+            direct_oracle(run)
+        lam_max = float(run.basis.eigenvalues[-1])
+        assert err.value.required_step == GUARD / (run.speed_ceiling() * math.sqrt(lam_max))
+
+    def test_guard_refuses_non_finite_speed_ceiling(self):
+        # H(0) overflows, so the ceiling is inf: an overflow, not a step to advise
+        run = make_run([1e150], n=4, steps=10)
+        assert run.speed_ceiling() == math.inf
+        with pytest.raises(RangeOverflowError, match="not finite"):
             direct_oracle(run)
 
     def test_time_reversal(self):

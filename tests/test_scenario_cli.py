@@ -1,9 +1,14 @@
 """Strict scenario parsing, CLI exit codes and output determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kirchhofflab
 from kirchhofflab import ScenarioError
 from kirchhofflab.cli import (
     EXIT_AUDIT_FAILED,
@@ -35,6 +40,18 @@ def write_doc(tmp_path, doc, name="scn.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return str(p)
+
+
+def mutated_copy(tmp_path, name, changes):
+    """Shipped scenario ``name`` with each dotted-path field of ``changes`` replaced."""
+    doc = json.loads(scenario_path(name).read_text())
+    for dotted, value in changes.items():
+        *parents, key = dotted.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[key] = value
+    return write_doc(tmp_path, doc)
 
 
 class TestScenarioParsing:
@@ -70,6 +87,8 @@ class TestScenarioParsing:
     def test_range_checks(self):
         with pytest.raises(ScenarioError, match="gevrey.s"):
             parse_scenario(minimal_doc(gevrey={"s": 1.0, "eta": 2.0}))
+        with pytest.raises(ScenarioError, match="gevrey.s"):
+            parse_scenario(minimal_doc(gevrey={"s": 1e300, "eta": 2.0}))  # 1 + 1/s == 1
         with pytest.raises(ScenarioError, match="horizon"):
             parse_scenario(minimal_doc(horizon=-1.0))
         with pytest.raises(ScenarioError, match="steps"):
@@ -186,6 +205,43 @@ class TestCliExitCodes:
         code = main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)])
         assert code == EXIT_AUDIT_FAILED
         assert "dt <=" in capsys.readouterr().err
+
+    def test_non_finite_speed_ceiling_is_an_overflow(self, tmp_path, capsys):
+        cfg = mutated_copy(tmp_path, "certify-pass", {"initial.position": [1e150]})
+        code = main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert code == EXIT_AUDIT_FAILED
+        err = capsys.readouterr().err
+        assert "not finite" in err and "dt <=" not in err
+
+    @pytest.mark.parametrize(
+        "command, name, changes, expected",
+        [
+            ("certify", "certify-pass", {"initial.position": [1e300]}, EXIT_AUDIT_FAILED),
+            ("norms", "norms-demo", {"initial.position": [1e300]}, EXIT_AUDIT_FAILED),
+            ("linear-audit", "linear-audit", {"options.manufactured.M": 1e300}, EXIT_AUDIT_FAILED),
+            (
+                "linear-audit",
+                "linear-audit",
+                {"options.manufactured.M": 20.0, "gevrey.eta": 2000.0,
+                 "initial": {"position": [1e-300]}},
+                EXIT_AUDIT_FAILED,
+            ),
+            ("certify", "certify-pass", {"gevrey.s": 1e300}, EXIT_USAGE),
+        ],
+    )
+    def test_overflowing_scenarios_exit_cleanly(self, tmp_path, command, name, changes, expected):
+        cfg = mutated_copy(tmp_path, name, changes)
+        src = str(Path(kirchhofflab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "kirchhofflab.cli", command, "--config", cfg,
+             "--out-dir", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == expected, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_linear_audit_requires_manufactured(self, tmp_path, capsys):
         cfg = write_doc(tmp_path, minimal_doc())

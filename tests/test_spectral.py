@@ -238,6 +238,23 @@ class TestTrajectory:
         assert np.all(series[::97] == 0.0)
         assert np.allclose(series, expected, rtol=1e-13, atol=0.0)
 
+    def test_copies_any_buffer_that_can_still_be_written(self):
+        b = basis(3)
+        times = np.linspace(0.0, 1.0, 4)
+        pos = np.ones((3, 4))
+        traj = Trajectory(b, times, pos, pos)
+        assert not np.shares_memory(traj.position, pos)
+        pos[0, 0] = 2.0
+        assert traj.position[0, 0] == 1.0
+        view = pos[:, ::2]
+        view.setflags(write=False)  # read-only, but its base is not
+        traj = Trajectory(b, times[::2], view, view)
+        assert not np.shares_memory(traj.position, pos)
+        pos.setflags(write=False)
+        traj = Trajectory(b, times, pos, pos.T.T)
+        assert np.shares_memory(traj.position, pos) and np.shares_memory(traj.velocity, pos)
+        assert not traj.position.flags.writeable
+
     def test_state_norm_series_overflow(self):
         # weights near e^1440 exceed the double range unless the coefficient
         # is small enough to bring the product back
