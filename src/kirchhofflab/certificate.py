@@ -11,7 +11,7 @@ linear values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -136,26 +136,9 @@ class Certificate:
         return "FAIL " + ",".join(v.code for v in self.verdicts if not v.passed)
 
     def as_dict(self) -> dict:
-        return {
-            "H0": self.H0,
-            "M": self.M,
-            "R": self.R,
-            "s": self.s,
-            "q": self.q,
-            "K0": self.K0,
-            "T": self.T,
-            "eta": self.eta,
-            "eta0": self.eta0,
-            "eta_prime": self.eta_prime,
-            "log_K0": self.log_K0,
-            "log_eta0": self.log_eta0,
-            "verdicts": [
-                {"code": v.code, "passed": v.passed, "margin": v.margin}
-                for v in self.verdicts
-            ],
-            "passed": self.passed,
-            "machine_verdict": self.machine_verdict(),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["verdicts"] = [asdict(v) for v in self.verdicts]
+        return {**out, "passed": self.passed, "machine_verdict": self.machine_verdict()}
 
 
 def _validate_constants(M: float, R: float, T: float) -> None:

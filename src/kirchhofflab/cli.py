@@ -113,6 +113,9 @@ def _scenario_certificate(scn: Scenario):
 
 
 def _build_run(scn: Scenario) -> KirchhoffRun:
+    if scn.grading_ratio is not None:
+        raise ScenarioError(f"{scn.name}: a graded grid stops short of the horizon; "
+                            "simulate and fixedpoint need a uniform grid")
     basis = scn.build_basis()
     return KirchhoffRun(basis, scn.build_initial(basis), scn.horizon, scn.gevrey, scn.build_grid())
 

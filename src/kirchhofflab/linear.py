@@ -26,6 +26,7 @@ from .spectral import (
     SpectralState,
     Trajectory,
     _LOG_MAX,
+    _readonly,
     gevrey_norm,
     same_basis,
 )
@@ -45,9 +46,7 @@ class ModeTrajectory:
     index: int = 0
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        w = np.asarray(self.vdot, dtype=float)
+        t, v, w = _readonly(self.times), _readonly(self.v), _readonly(self.vdot)
         if not (t.shape == v.shape == w.shape) or t.ndim != 1:
             raise ValueError("times, v and vdot must be 1-d and of equal length")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
@@ -55,7 +54,6 @@ class ModeTrajectory:
         if not self.mu > 0.0:
             raise ValueError("mode frequency must be positive")
         for name, arr in (("times", t), ("v", v), ("vdot", w)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
 
@@ -104,33 +102,47 @@ def _validate_grid(coeff: CoefficientPath, grid: np.ndarray) -> np.ndarray:
     return g
 
 
-# Time steps whose propagator entries are built at once; bounds the
-# (steps, modes) temporaries for wide bases.
-_BLOCK = 128
+def _rk4_coefficients(h, a1, a2, a3, a4):
+    """One classical RK4 step of v' = w, w' = -a*lambda*v whose stage k sees a = a_k.
+
+    The step maps x = (v, w) to C @ (x, lambda*x, lambda^2*x); the two returned
+    rows of C hold the coefficients of (v, w, lambda*v, lambda*w, lambda^2*v,
+    lambda^2*w) in v_new and in w_new.  Works on floats and arrays alike.
+    """
+    h2 = h * h
+    mid = a2 + a3
+    return (
+        (1.0, h, -h2 * (a1 + mid) / 6.0, -h * h2 * mid / 12.0, h2 * h2 * a3 * a1 / 24.0, 0.0),
+        (0.0, 1.0, -h * (a1 + 2.0 * mid + a4) / 6.0, -h2 * (mid + a4) / 6.0,
+         h * h2 * (a1 * a3 + a2 * a4) / 12.0, h2 * h2 * a4 * a2 / 24.0),
+    )
 
 
 def _rk4_propagators(lam, h, c2_start, c2_mid, c2_end):
-    """Entries (pvv, pvw, pwv, pww), shape (steps, modes), of classical RK4 steps.
+    """Entries (pvv, pvw, pwv, pww), shape (steps, modes), of linear RK4 steps."""
+    cols = (np.asarray(a)[:, None] for a in (h, c2_start, c2_mid, c2_mid, c2_end))
+    cv, cw = _rk4_coefficients(*cols)
+    return tuple(c[i] + (c[i + 2] + c[i + 4] * lam) * lam for c in (cv, cw) for i in (0, 1))
 
-    The equation is linear, so a step maps (v, w) to (pvv*v + pvw*w,
-    pwv*v + pww*w).  Each entry is a polynomial of degree <= 2 in lambda whose
-    coefficients depend on h and on c^2 at the step's start, midpoint and end.
+
+def _rk4_march(lam, v0, w0, m, degree, step_matrix):
+    """March the stacked state x = (v, w) over m samples; returns (V, W) of shape (modes, m).
+
+    Step i maps x to C @ (x, lambda*x, lambda^2*x), C being the (2, 6) matrix
+    ``step_matrix(i, rows, x)``, where ``rows`` stacks lambda^j * x, j = 0..degree.
     """
-    h2 = h * h
-    lam2 = lam * lam
-
-    def poly(c0, c1, c2):
-        out = np.outer(c2, lam2)
-        out += np.outer(c1, lam)
-        out += c0
-        return out
-
-    ca, cm, cb = c2_start, c2_mid, c2_end
-    pvv = poly(1.0, -h2 * (ca + 2.0 * cm) / 6.0, h2 * h2 * cm * ca / 24.0)
-    pvw = h[:, None] - np.outer(h * h2 * cm / 6.0, lam)
-    pwv = poly(0.0, -h * (ca + 4.0 * cm + cb) / 6.0, h * h2 * cm * (ca + cb) / 12.0)
-    pww = poly(1.0, -h2 * (2.0 * cm + cb) / 6.0, h2 * h2 * cb * cm / 24.0)
-    return pvv, pvw, pwv, pww
+    n = lam.size
+    powers = np.stack([lam**j for j in range(degree + 1)])[:, None]
+    P = np.empty((degree + 1, 2, n))  # P[j] = lambda^j * x
+    rows, low = P.reshape(-1, n), P[:3].reshape(6, n)
+    S = np.empty((2, m, n))  # S[:, i] is the state (v, w) at sample i
+    S[:, 0] = v0, w0
+    x = S[:, 0]
+    for i in range(m - 1):
+        np.multiply(powers, x, out=P)
+        x = np.matmul(step_matrix(i, rows, x), low, out=S[:, i + 1])
+    S.setflags(write=False)  # lets Trajectory adopt the buffer without a copy
+    return S[0].T, S[1].T
 
 
 def _rk4_modes(coeff, lam, v0, w0, grid):
@@ -138,23 +150,9 @@ def _rk4_modes(coeff, lam, v0, w0, grid):
     _check_guard(float(np.max(coeff.values)), float(np.max(lam)), grid)
     c2_nodes = coeff.evaluate(grid) ** 2
     c2_mids = coeff.evaluate(0.5 * (grid[:-1] + grid[1:])) ** 2
-    m = grid.size
-    V = np.empty((m, lam.size))
-    W = np.empty((m, lam.size))
-    V[0], W[0] = v, w = v0, w0
-    hs = np.diff(grid)
-    for start in range(0, m - 1, _BLOCK):
-        stop = min(start + _BLOCK, m - 1)
-        props = _rk4_propagators(
-            lam, hs[start:stop], c2_nodes[start:stop], c2_mids[start:stop],
-            c2_nodes[start + 1:stop + 1],
-        )
-        for i, (pvv, pvw, pwv, pww) in enumerate(zip(*props), start + 1):
-            v, w = pvv * v + pvw * w, pwv * v + pww * w
-            V[i], W[i] = v, w
-    V.setflags(write=False)  # lets Trajectory adopt the buffers without a copy
-    W.setflags(write=False)
-    return V.T, W.T
+    cv, cw = _rk4_coefficients(np.diff(grid), c2_nodes[:-1], c2_mids, c2_mids, c2_nodes[1:])
+    steps = np.stack(np.broadcast_arrays(*cv, *cw), axis=-1).reshape(-1, 2, 6)
+    return _rk4_march(lam, v0, w0, grid.size, 2, lambda i, _rows, _x: steps[i])
 
 
 def solve_mode(

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficient import AdmissibleClass, CoefficientPath, check_admissibility
-from .errors import HypothesisError
-from .linear import _check_guard, solve_modes
+from .errors import HypothesisError, RangeOverflowError
+from .linear import _check_guard, _rk4_coefficients, _rk4_march, solve_modes
 from .spectral import (
     GevreyParams,
     ModeBasis,
@@ -133,35 +133,37 @@ def direct_oracle(run: KirchhoffRun) -> Trajectory:
 
     The stability guard uses the a-priori speed ceiling sqrt(1 + 2*H(0)),
     which bounds the induced speed for as long as the energy is conserved.
+    Stage k sees the speed a_k = 1 + sum lambda*p_k^2 at p_k = (1 + e_k*lambda)*v
+    + (b_k + f_k*lambda)*w, e_k, b_k, f_k set by h and earlier stages: the
+    moments sum lambda^j*{vv, vw, ww}, j = 1..3, give every a_k, and the step
+    is the linear sweep's with stage speeds a_k.  A stage speed that is not
+    finite, as when lambda^3 overflows for eigenvalues above about 1e102,
+    raises :class:`RangeOverflowError`.
     """
     lam = run.basis.eigenvalues
     _check_guard(run.speed_ceiling(), float(lam[-1]), run.grid)
+    hs = np.diff(run.grid).tolist()
 
-    g = run.grid
-    n, m = run.basis.count, g.size
-    V = np.empty((n, m))
-    W = np.empty((n, m))
-    v, w = run.initial.position, run.initial.velocity
-    V[:, 0], W[:, 0] = v, w
+    def step_matrix(i, rows, x):
+        moments = (rows[2:] @ x.T).tolist()  # sum lambda^j x_a x_b, j = 1..3
+        (vv1, vw1), (_, ww1), (vv2, vw2), (_, ww2), (vv3, vw3), (_, ww3) = moments
+        h = hs[i]
+        a1 = 1.0 + vv1
+        a2 = a1 + h * (vw1 + 0.25 * h * ww1)  # p2 = v + h/2*w
+        e = -0.25 * h * h * a1  # p3 = (1 + e*lambda)*v + h/2*w
+        a3 = a2 + e * (2.0 * vv2 + h * vw2 + e * vv3)
+        e = -0.5 * h * h * a2  # p4 = (1 + e*lambda)*v + (h + e*h/2*lambda)*w
+        a4 = a1 + h * (2.0 * vw1 + h * ww1) + e * (
+            2.0 * vv2 + 3.0 * h * vw2 + h * h * ww2
+            + e * (vv3 + h * vw3 + 0.25 * h * h * ww3)
+        )
+        if not math.isfinite(a1 + a2 + a3 + a4):
+            raise RangeOverflowError(f"a stage speed of step {i + 1} is not finite")
+        return np.array(_rk4_coefficients(h, a1, a2, a3, a4))
 
-    def acc(pos):
-        return -(1.0 + lam @ (pos * pos)) * (lam * pos)
-
-    for i, h in enumerate(np.diff(g)):
-        k1v = w
-        k1w = acc(v)
-        k2v = w + 0.5 * h * k1w
-        k2w = acc(v + 0.5 * h * k1v)
-        k3v = w + 0.5 * h * k2w
-        k3w = acc(v + 0.5 * h * k2v)
-        k4v = w + h * k3w
-        k4w = acc(v + h * k3v)
-        v = v + (h / 6.0) * (k1v + 2.0 * (k2v + k3v) + k4v)
-        w = w + (h / 6.0) * (k1w + 2.0 * (k2w + k3w) + k4w)
-        V[:, i + 1], W[:, i + 1] = v, w
-    V.setflags(write=False)  # lets Trajectory adopt the buffers without a copy
-    W.setflags(write=False)
-    return Trajectory(run.basis, g, V, W)
+    init = run.initial
+    V, W = _rk4_march(lam, init.position, init.velocity, run.grid.size, 3, step_matrix)
+    return Trajectory(run.basis, run.grid, V, W)
 
 
 @dataclass(frozen=True)

@@ -133,10 +133,12 @@ class GevreyParams:
             raise ValueError(f"Gevrey radius must be positive, got {self.eta}")
 
 
+@np.errstate(over="ignore")
 def sobolev_norm(coeffs, basis: ModeBasis, sigma: float) -> float:
     """Homogeneous Sobolev norm sqrt(sum_k mu_k^(2*sigma) c_k^2).
 
-    ``sigma = 0`` reduces to the Euclidean norm of the coefficients.
+    ``sigma = 0`` reduces to the Euclidean norm of the coefficients.  A norm
+    beyond the double range is inf, without a warning; callers range-check it.
     """
     c = _as_coeffs(coeffs, basis)
     return float(np.sqrt(np.sum(basis.frequencies ** (2.0 * sigma) * c * c)))
@@ -169,12 +171,14 @@ def gevrey_norm(coeffs, basis: ModeBasis, gp: GevreyParams, sigma: float = 0.0) 
     return math.exp(0.5 * log_sq)
 
 
+@np.errstate(over="ignore")
 def dirichlet_energy(state: SpectralState) -> float:
-    """Squared gradient norm sum_k lambda_k v_k^2 (the nonlocal coefficient's integrand)."""
+    """Squared gradient norm sum_k lambda_k v_k^2 (inf, without a warning, on overflow)."""
     v = state.position
     return float(np.sum(state.basis.eigenvalues * v * v))
 
 
+@np.errstate(over="ignore")
 def hamiltonian(state: SpectralState) -> float:
     """Conserved energy (D + V)/2 + D^2/4 with D the Dirichlet energy, V the kinetic term."""
     d = dirichlet_energy(state)
@@ -239,9 +243,13 @@ class Trajectory:
     def state_at(self, i: int) -> SpectralState:
         return SpectralState(self.basis, self.position[:, i], self.velocity[:, i])
 
+    @np.errstate(over="ignore")
     def dirichlet_series(self) -> np.ndarray:
-        lam = self.basis.eigenvalues
-        return lam @ (self.position * self.position)
+        """D(t) at every sample; raises :class:`RangeOverflowError` when it overflows."""
+        d = self.basis.eigenvalues @ (self.position * self.position)
+        if not np.all(np.isfinite(d)):
+            raise RangeOverflowError("Dirichlet energy, and so the induced speed, overflows")
+        return d
 
     def hamiltonian_series(self) -> np.ndarray:
         d = self.dirichlet_series()

@@ -13,6 +13,7 @@ from kirchhofflab import (
     HypothesisError,
     LinearProblem,
     ModeBasis,
+    ModeTrajectory,
     OscillatingSpeed,
     SpectralState,
     StabilityError,
@@ -32,7 +33,7 @@ from kirchhofflab import (
     uniform_grid,
     verify_energy_bound,
 )
-from kirchhofflab.linear import GUARD, _BLOCK, _rk4_modes, _rk4_propagators
+from kirchhofflab.linear import GUARD, _rk4_coefficients, _rk4_modes, _rk4_propagators
 
 Q, S, T = 1.5, 2.0, 1.0
 
@@ -66,6 +67,15 @@ class TestSolveMode:
         mt = solve_mode(coeff, 1.0, 0.0, 1.0, grid)
         # closed form v = sin(2t)/2, so v(pi/4) = 0.5
         assert mt.v[-1] == pytest.approx(0.5, abs=1e-10)
+
+    def test_mode_trajectory_leaves_caller_arrays_writable(self):
+        t = np.linspace(0.0, 1.0, 5)
+        v = np.cos(t)
+        mt = ModeTrajectory(t, v, v.copy(), 1.0)
+        assert t.flags.writeable and v.flags.writeable
+        assert not mt.times.flags.writeable and not mt.v.flags.writeable
+        t[0] = v[0] = 7.0
+        assert mt.times[0] == 0.0 and mt.v[0] == 1.0
 
     def test_stability_guard_refuses_with_required_step(self):
         grid = uniform_grid(1.0, 10)
@@ -122,17 +132,21 @@ class TestSolveModes:
         assert np.shares_memory(traj.position, V) and np.shares_memory(traj.velocity, W)
 
 
-def reference_rk4_step(lam, v, w, h, c2_start, c2_mid, c2_end):
-    """One classical RK4 step of v' = w, w' = -c^2 lam v, stage by stage."""
-    a0, am, a1 = c2_start * lam, c2_mid * lam, c2_end * lam
-    k1v, k1w = w, -a0 * v
-    k2v, k2w = w + 0.5 * h * k1w, -am * (v + 0.5 * h * k1v)
-    k3v, k3w = w + 0.5 * h * k2w, -am * (v + 0.5 * h * k2v)
-    k4v, k4w = w + h * k3w, -a1 * (v + h * k3v)
+def stagewise_rk4_step(lam, v, w, h, a1, a2, a3, a4):
+    """One classical RK4 step of v' = w, w' = -a lam v whose stage k sees a = a_k."""
+    k1v, k1w = w, -a1 * lam * v
+    k2v, k2w = w + 0.5 * h * k1w, -a2 * lam * (v + 0.5 * h * k1v)
+    k3v, k3w = w + 0.5 * h * k2w, -a3 * lam * (v + 0.5 * h * k2v)
+    k4v, k4w = w + h * k3w, -a4 * lam * (v + h * k3v)
     return (
         v + (h / 6.0) * (k1v + 2.0 * (k2v + k3v) + k4v),
         w + (h / 6.0) * (k1w + 2.0 * (k2w + k3w) + k4w),
     )
+
+
+def reference_rk4_step(lam, v, w, h, c2_start, c2_mid, c2_end):
+    """One classical RK4 step of v' = w, w' = -c^2 lam v, stage by stage."""
+    return stagewise_rk4_step(lam, v, w, h, c2_start, c2_mid, c2_mid, c2_end)
 
 
 @st.composite
@@ -172,7 +186,19 @@ class TestPropagator:
             assert np.all(np.abs(pwv * v + pww * w - ref_w) <= 1e-13 * scale_w)
             v, w = ref_v, ref_w
 
-    @pytest.mark.parametrize("steps", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+    def test_coefficients_match_stagewise_step_with_four_stage_speeds(self):
+        # the coupled oracle's stages see four different speeds, a2 != a3
+        rng = np.random.default_rng(5)
+        lam = np.arange(1.0, 9.0) ** 2
+        h, speeds = 0.04, (1.1, 1.35, 1.2, 1.5)
+        v, w = rng.normal(size=8), rng.normal(size=8) * np.sqrt(lam)
+        cv, cw = _rk4_coefficients(h, *speeds)
+        rows = np.stack((v, w, lam * v, lam * w, lam * lam * v, lam * lam * w))
+        ref_v, ref_w = stagewise_rk4_step(lam, v, w, h, *speeds)
+        assert np.max(np.abs(np.array(cv) @ rows - ref_v)) <= 1e-14 * np.max(np.abs(ref_v))
+        assert np.max(np.abs(np.array(cw) @ rows - ref_w)) <= 1e-14 * np.max(np.abs(ref_w))
+
+    @pytest.mark.parametrize("steps", [1, 128, 129, 263])
     def test_march_matches_stagewise_steps_across_blocks(self, steps):
         rng = np.random.default_rng(steps)
         lam = np.arange(1.0, 9.0) ** 2

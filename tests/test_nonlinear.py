@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kirchhofflab import (
     AdmissibleClass,
@@ -45,6 +47,50 @@ def make_run(amplitudes, velocities=None, n=None, horizon=1.0, steps=2000):
         gevrey=GP,
         grid=uniform_grid(horizon, steps),
     )
+
+
+def reference_oracle(run):
+    """The coupled RK4 step, stage by stage; returns (V, W) of shape (modes, times)."""
+    lam = run.basis.eigenvalues
+    v, w = run.initial.position, run.initial.velocity
+    V, W = [v], [w]
+
+    def acc(pos):
+        return -(1.0 + lam @ (pos * pos)) * (lam * pos)
+
+    for h in np.diff(run.grid):
+        k1v = w
+        k1w = acc(v)
+        k2v = w + 0.5 * h * k1w
+        k2w = acc(v + 0.5 * h * k1v)
+        k3v = w + 0.5 * h * k2w
+        k3w = acc(v + 0.5 * h * k2v)
+        k4v = w + h * k3w
+        k4w = acc(v + h * k3v)
+        v = v + (h / 6.0) * (k1v + 2.0 * (k2v + k3v) + k4v)
+        w = w + (h / 6.0) * (k1w + 2.0 * (k2w + k3w) + k4w)
+        V.append(v)
+        W.append(w)
+    return np.array(V).T, np.array(W).T
+
+
+@st.composite
+def oracle_cases(draw):
+    """Small random data on a uniform or graded grid inside the stability guard."""
+    n = draw(st.integers(1, 6))
+    steps = draw(st.sampled_from([1, 2, 7, 40]))
+    basis = ModeBasis.interval_dirichlet(n)
+    # no subnormal data: their products lose the digits being compared
+    unit = st.floats(-1.0, 1.0).map(lambda x: 0.0 if abs(x) < 1e-6 else x)
+    amp = draw(st.floats(0.0, 0.5))
+    pos = amp * np.array(draw(st.lists(unit, min_size=n, max_size=n))) / basis.frequencies
+    vel = amp * np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    initial = SpectralState(basis, pos, vel)
+    ceiling = math.sqrt(1.0 + 2.0 * hamiltonian(initial))
+    h0 = draw(st.floats(1e-3, 1.0)) * GUARD / (ceiling * n)
+    ratio = draw(st.sampled_from([1.0, 0.5, 0.9]))  # 1.0 is a uniform grid
+    grid = np.concatenate(([0.0], np.cumsum(h0 * ratio ** np.arange(steps))))
+    return KirchhoffRun(basis, initial, float(grid[-1]), GP, grid)
 
 
 class TestInducedSpeed:
@@ -158,6 +204,27 @@ class TestDirectOracle:
         assert run.speed_ceiling() == math.inf
         with pytest.raises(RangeOverflowError, match="not finite"):
             direct_oracle(run)
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_cases())
+    def test_matches_stagewise_reference(self, run):
+        traj = direct_oracle(run)
+        V, W = reference_oracle(run)
+        mu = run.basis.frequencies
+        scale = np.max(np.abs(V)) + np.max(np.abs(W)) / mu[-1]
+        assert np.max(np.abs(traj.position - V)) <= 1e-12 * scale
+        assert np.max(np.abs(traj.velocity - W) / mu[:, None]) <= 1e-12 * scale
+
+    def test_non_finite_stage_speed_is_an_overflow(self):
+        # lambda^3 = 1e660 overflows the stage-speed moments although the
+        # energy, the speed ceiling and the guard are finite
+        basis = ModeBasis("torus", np.array([1e110]))
+        initial = SpectralState(basis, [1e-110], [0.0])
+        horizon = 1e-111
+        run = KirchhoffRun(basis, initial, horizon, GP, uniform_grid(horizon, 4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RangeOverflowError, match="stage speed"):
+                direct_oracle(run)
 
     def test_time_reversal(self):
         run = make_run([0.15, 0.05], n=4, steps=2000)

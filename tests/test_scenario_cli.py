@@ -227,6 +227,9 @@ class TestCliExitCodes:
                 EXIT_AUDIT_FAILED,
             ),
             ("certify", "certify-pass", {"gevrey.s": 1e300}, EXIT_USAGE),
+            ("fixedpoint", "two-mode", {"initial.velocity": [1e200]}, EXIT_AUDIT_FAILED),
+            ("simulate", "linear-audit", {}, EXIT_USAGE),  # graded grid
+            ("fixedpoint", "linear-audit", {}, EXIT_USAGE),
         ],
     )
     def test_overflowing_scenarios_exit_cleanly(self, tmp_path, command, name, changes, expected):
@@ -241,7 +244,10 @@ class TestCliExitCodes:
             timeout=120,
         )
         assert proc.returncode == expected, proc.stderr
-        assert "Traceback" not in proc.stderr
+        # one message line: no traceback, no numpy warning before it
+        prefix = "numerical failure: " if expected == EXIT_AUDIT_FAILED else "scenario error: "
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
 
     def test_linear_audit_requires_manufactured(self, tmp_path, capsys):
         cfg = write_doc(tmp_path, minimal_doc())
