@@ -88,14 +88,23 @@ def _write_json(path: Path, payload: dict) -> None:
 _CSV_BLOCK = 1024
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    cols = [np.asarray(c) for c in columns]
-    cols = [c if np.issubdtype(c.dtype, np.integer) else c.astype(float) for c in cols]
-    fmts = [str if np.issubdtype(c.dtype, np.integer) else repr for c in cols]
+def _csv_cells(column, rows: slice = slice(None)):
+    """Cells of ``column[rows]``: a list of strings is already formatted."""
+    if isinstance(column, list):
+        return column[rows]
+    c = np.asarray(column)[rows]
+    if np.issubdtype(c.dtype, np.integer):
+        return map(str, c.tolist())
+    return map(repr, c.astype(float).tolist())
+
+
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """Write CSV columns: arrays, or lists of cells from :func:`_csv_cells`."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        for i in range(0, len(cols[0]), _CSV_BLOCK):
-            cells = [map(fmt, c[i:i + _CSV_BLOCK].tolist()) for fmt, c in zip(fmts, cols)]
+        for i in range(0, len(columns[0]), _CSV_BLOCK):
+            rows = slice(i, i + _CSV_BLOCK)
+            cells = [_csv_cells(c, rows) for c in columns]
             f.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
@@ -229,6 +238,7 @@ def cmd_linear_audit(scn: Scenario, out: Path) -> int:
 
     mono_rtol = 1e-6
     quad_tol = 1e-6
+    t_cells = list(_csv_cells(traj.times))  # every mode CSV shares the time column
     modes = []
     all_ok = True
     for k in range(basis.count):
@@ -243,7 +253,7 @@ def cmd_linear_audit(scn: Scenario, out: Path) -> int:
         _write_csv(
             out / f"{scn.name}-mode{k + 1}.csv",
             ["t", "v", "vdot", "E"],
-            [mt.times, mt.v, mt.vdot, energy],
+            [t_cells, mt.v, mt.vdot, energy],
         )
         modes.append(
             {

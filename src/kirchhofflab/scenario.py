@@ -19,6 +19,13 @@ from .coefficient import OscillatingSpeed, graded_grid, uniform_grid
 
 COMMANDS = ("simulate", "fixedpoint", "linear-audit", "certify", "norms")
 
+# Size bounds, so that no scenario that parses asks for an unbounded
+# (2, points, modes) trajectory buffer.  The largest shipped or benchmarked
+# run, 1024 modes x 2222 points, stays more than 10x below each.
+MAX_MODES = 2**14
+MAX_POINTS = 2**20
+MAX_MODE_SAMPLES = 2**25
+
 
 @dataclass(frozen=True)
 class ManufacturedSpec:
@@ -116,12 +123,27 @@ def _number(value, path: str, *, lo=None, hi=None, strict_lo=False) -> float:
     return x
 
 
-def _integer(value, path: str, *, lo: int) -> int:
+def _integer(value, path: str, *, lo: int, hi: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
     if value < lo:
         _fail(path, f"must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        _fail(path, f"must be <= {hi}, got {value}")
     return value
+
+
+def _grid_points(steps: int, horizon: float, grading: float | None, end_gap: float) -> float:
+    """Upper bound on the number of points of the grid a scenario builds.
+
+    A graded grid takes at most ``steps`` uniform steps, then steps that shrink
+    the gap to the horizon by at least (1 + r)/2, which reach ``end_gap`` or a
+    gap of 1/(1 - r) ulps, then steps of at least half an ulp each.
+    """
+    if grading is None:
+        return steps + 1
+    shrink = -math.log1p(-0.5 * (1.0 - grading))  # log(2 / (1 + r))
+    return steps + 4 + math.log(horizon / end_gap) / shrink + 2.0 / (1.0 - grading)
 
 
 def _number_list(value, path: str) -> list[float]:
@@ -194,7 +216,9 @@ def parse_scenario(doc, source: str = "scenario") -> Scenario:
     kind = _require(basis, "kind", f"{source}.basis")
     if kind not in BASIS_KINDS:
         _fail(f"{source}.basis.kind", f"expected one of {BASIS_KINDS}, got {kind!r}")
-    count = _integer(_require(basis, "count", f"{source}.basis"), f"{source}.basis.count", lo=1)
+    count = _integer(
+        _require(basis, "count", f"{source}.basis"), f"{source}.basis.count", lo=1, hi=MAX_MODES
+    )
 
     gev = _get_map(_require(doc, "gevrey", source), f"{source}.gevrey")
     _check_keys(gev, {"s", "eta"}, f"{source}.gevrey")
@@ -218,6 +242,15 @@ def parse_scenario(doc, source: str = "scenario") -> Scenario:
     end_gap = _number(grid.get("end_gap", 1e-9), f"{source}.grid.end_gap", lo=0.0, strict_lo=True)
     if ("end_gap" in grid or grading is not None) and not 0.0 < horizon - end_gap < horizon:
         _fail(f"{source}.grid.end_gap", f"need 0 < horizon - end_gap < horizon, got {end_gap}")
+    points = _grid_points(steps, horizon, grading, end_gap)
+    if points > MAX_POINTS:
+        _fail(f"{source}.grid", f"may have up to {points:.6g} points, above the bound {MAX_POINTS}")
+    if count * points > MAX_MODE_SAMPLES:
+        _fail(
+            source,
+            f"basis.count x grid points = {count * points:.6g} mode-samples, "
+            f"above the bound {MAX_MODE_SAMPLES}",
+        )
 
     position, velocity = _parse_initial(_require(doc, "initial", source), count, s, f"{source}.initial")
 

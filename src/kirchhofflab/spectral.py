@@ -22,6 +22,10 @@ BASIS_KINDS = ("interval-dirichlet", "torus")
 # Samples per block of the norm series; bounds its (modes, samples) temporaries.
 _NORM_CHUNK = 256
 
+# A scaled sum of squares below this, from a sample that is not all zero, may
+# have lost terms to underflow; its block falls back to the log-sum-exp.
+_SUM_MIN = 1e-200
+
 
 def _readonly(a) -> np.ndarray:
     """Read-only float array: ``a`` itself when nothing can write through it, else a copy."""
@@ -221,6 +225,7 @@ class Trajectory:
     times: np.ndarray
     position: np.ndarray
     velocity: np.ndarray
+    _dirichlet: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         t = _readonly(self.times)
@@ -243,12 +248,19 @@ class Trajectory:
     def state_at(self, i: int) -> SpectralState:
         return SpectralState(self.basis, self.position[:, i], self.velocity[:, i])
 
-    @np.errstate(over="ignore")
     def dirichlet_series(self) -> np.ndarray:
-        """D(t) at every sample; raises :class:`RangeOverflowError` when it overflows."""
-        d = self.basis.eigenvalues @ (self.position * self.position)
-        if not np.all(np.isfinite(d)):
-            raise RangeOverflowError("Dirichlet energy, and so the induced speed, overflows")
+        """D(t) at every sample, computed once and read-only.
+
+        Raises :class:`RangeOverflowError`, on every call, when D overflows.
+        """
+        d = self._dirichlet
+        if d is None:
+            with np.errstate(over="ignore"):
+                d = self.basis.eigenvalues @ (self.position * self.position)
+            if not np.all(np.isfinite(d)):
+                raise RangeOverflowError("Dirichlet energy, and so the induced speed, overflows")
+            d.setflags(write=False)
+            object.__setattr__(self, "_dirichlet", d)
         return d
 
     def hamiltonian_series(self) -> np.ndarray:
@@ -261,20 +273,37 @@ class Trajectory:
         return np.sqrt(1.0 + self.dirichlet_series())
 
     def state_gevrey_series(self, gp: GevreyParams) -> np.ndarray:
-        """:func:`state_gevrey_norm` at every sample: one log-sum-exp over modes.
+        """:func:`state_gevrey_norm` at every sample.
 
-        Raises :class:`RangeOverflowError` when a sample's norm exceeds the
-        double range; all-zero samples have norm 0.
+        Each block of samples is one weighted sum of squares, with the weights
+        scaled by their largest, and one log per sample.  A block falls back to
+        a log-sum-exp over modes when a scaled weight is not a normal double, a
+        sum is not finite, or a sum is below ``_SUM_MIN`` for a sample that is
+        not all zero, so no term is lost to overflow or underflow.  Raises
+        :class:`RangeOverflowError` when a sample's norm exceeds the double
+        range; all-zero samples have norm 0.
         """
         mu = self.basis.frequencies
-        log_w = gp.eta * mu ** (1.0 / gp.s) + np.log(mu)
-        log_w = np.concatenate((log_w + 2.0 * np.log(mu), log_w))[:, None]
+        log_w = gp.eta * mu ** (1.0 / gp.s)  # as gevrey_norm rounds them, sigma = 3/2 and 1/2
+        log_w = np.concatenate((log_w + 3.0 * np.log(mu), log_w + np.log(mu)))
+        top_w = log_w.max()
+        w = np.exp(log_w - top_w)
+        scaled = w.min() >= np.finfo(float).tiny  # every scaled weight is a normal double
+        w_pos, w_vel = np.split(w, 2)
         log_sq = np.empty(self.times.size)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             for i in range(0, log_sq.size, _NORM_CHUNK):
                 cols = slice(i, i + _NORM_CHUNK)
-                pair = np.concatenate((self.position[:, cols], self.velocity[:, cols]))
-                terms = 2.0 * np.log(np.abs(pair)) + log_w
+                pos, vel = self.position[:, cols], self.velocity[:, cols]
+                if scaled:
+                    sq = w_pos @ (pos * pos) + w_vel @ (vel * vel)
+                    small = sq < _SUM_MIN
+                    if np.all(np.isfinite(sq)) and not (
+                        small.any() and (pos[:, small].any() or vel[:, small].any())
+                    ):
+                        log_sq[cols] = top_w + np.log(sq)
+                        continue
+                terms = 2.0 * np.log(np.abs(np.concatenate((pos, vel)))) + log_w[:, None]
                 top = terms.max(axis=0)
                 top[top == -np.inf] = 0.0
                 log_sq[cols] = top + np.log(np.exp(terms - top).sum(axis=0))

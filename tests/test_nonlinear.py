@@ -81,8 +81,9 @@ def oracle_cases(draw):
     steps = draw(st.sampled_from([1, 2, 7, 40]))
     basis = ModeBasis.interval_dirichlet(n)
     # no subnormal data: their products lose the digits being compared
+    # (test_subnormal_data_matches_reference covers that regime)
     unit = st.floats(-1.0, 1.0).map(lambda x: 0.0 if abs(x) < 1e-6 else x)
-    amp = draw(st.floats(0.0, 0.5))
+    amp = draw(st.floats(0.0, 0.5).map(lambda x: 0.0 if x < 1e-6 else x))
     pos = amp * np.array(draw(st.lists(unit, min_size=n, max_size=n))) / basis.frequencies
     vel = amp * np.array(draw(st.lists(unit, min_size=n, max_size=n)))
     initial = SpectralState(basis, pos, vel)
@@ -214,6 +215,20 @@ class TestDirectOracle:
         scale = np.max(np.abs(V)) + np.max(np.abs(W)) / mu[-1]
         assert np.max(np.abs(traj.position - V)) <= 1e-12 * scale
         assert np.max(np.abs(traj.velocity - W) / mu[:, None]) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("amp", [5e-324, 1e-320, 4.5e-313])
+    def test_subnormal_data_matches_reference(self, amp):
+        # products of subnormal data round to whole subnormal ulps, so the two
+        # step orders agree to a few ulps, not to a relative tolerance
+        basis = ModeBasis.interval_dirichlet(3)
+        pos, vel = amp * np.array([1.0, -0.7, 0.3]), amp * np.array([0.4, 0.9, -1.0])
+        run = KirchhoffRun(basis, SpectralState(basis, pos, vel), 0.05, GP, uniform_grid(0.05, 2))
+        traj = direct_oracle(run)
+        V, W = reference_oracle(run)
+        ulp = np.nextafter(0.0, 1.0)
+        assert np.all(np.isfinite(traj.position)) and np.all(np.isfinite(traj.velocity))
+        assert np.max(np.abs(traj.position - V)) <= 4 * ulp
+        assert np.max(np.abs(traj.velocity - W)) <= 4 * ulp
 
     def test_non_finite_stage_speed_is_an_overflow(self):
         # lambda^3 = 1e660 overflows the stage-speed moments although the

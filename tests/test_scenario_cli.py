@@ -18,7 +18,14 @@ from kirchhofflab.cli import (
     EXIT_USAGE,
     main,
 )
-from kirchhofflab.scenario import load_scenario, parse_scenario
+from kirchhofflab.scenario import (
+    MAX_MODE_SAMPLES,
+    MAX_MODES,
+    MAX_POINTS,
+    _grid_points,
+    load_scenario,
+    parse_scenario,
+)
 
 from conftest import scenario_path
 
@@ -52,6 +59,19 @@ def mutated_copy(tmp_path, name, changes):
             node = node[part]
         node[key] = value
     return write_doc(tmp_path, doc)
+
+
+def run_cli(tmp_path, command, cfg):
+    """Run the CLI in a child process, with a time bound."""
+    src = str(Path(kirchhofflab.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "kirchhofflab.cli", command, "--config", cfg,
+         "--out-dir", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 class TestScenarioParsing:
@@ -93,6 +113,14 @@ class TestScenarioParsing:
             parse_scenario(minimal_doc(horizon=-1.0))
         with pytest.raises(ScenarioError, match="steps"):
             parse_scenario(minimal_doc(grid={"steps": 0}))
+
+    @pytest.mark.parametrize("ratio", [0.01, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("horizon, end_gap", [(1.0, 1e-9), (3.0, 1e-14), (1e5, 1e-3), (0.5, 2**-54)])
+    def test_graded_grid_within_its_point_bound(self, ratio, horizon, end_gap):
+        doc = minimal_doc(horizon=horizon, grid={"steps": 200, "grading_ratio": ratio, "end_gap": end_gap})
+        scn = parse_scenario(doc)
+        bound = _grid_points(200, horizon, ratio, end_gap)
+        assert scn.build_grid().size <= bound <= MAX_POINTS
 
     def test_explicit_lists_are_padded_not_truncated(self):
         scn = parse_scenario(minimal_doc(initial={"position": [0.1, 0.2], "velocity": [0.3]}))
@@ -233,21 +261,30 @@ class TestCliExitCodes:
         ],
     )
     def test_overflowing_scenarios_exit_cleanly(self, tmp_path, command, name, changes, expected):
-        cfg = mutated_copy(tmp_path, name, changes)
-        src = str(Path(kirchhofflab.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "kirchhofflab.cli", command, "--config", cfg,
-             "--out-dir", str(tmp_path / "out")],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_cli(tmp_path, command, mutated_copy(tmp_path, name, changes))
         assert proc.returncode == expected, proc.stderr
         # one message line: no traceback, no numpy warning before it
         prefix = "numerical failure: " if expected == EXIT_AUDIT_FAILED else "scenario error: "
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, name, changes, bound",
+        [
+            ("certify", "certify-pass", {"basis.count": 10**12}, MAX_MODES),
+            ("fixedpoint", "two-mode", {"grid.steps": 10**9}, MAX_POINTS),
+            ("fixedpoint", "two-mode", {"basis.count": 4096, "grid.steps": 2**14}, MAX_MODE_SAMPLES),
+            # gaps shrink by 1e-12 a step: about 1e13 graded points
+            ("linear-audit", "linear-audit", {"grid.grading_ratio": 1.0 - 1e-12}, MAX_POINTS),
+        ],
+    )
+    def test_oversized_scenarios_exit_64(self, tmp_path, command, name, changes, bound):
+        # rejected at parse time, before anything of that size is allocated
+        proc = run_cli(tmp_path, command, mutated_copy(tmp_path, name, changes))
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("scenario error: "), proc.stderr
+        assert f"bound {bound}" in lines[0] or f"<= {bound}" in lines[0], lines[0]
 
     def test_linear_audit_requires_manufactured(self, tmp_path, capsys):
         cfg = write_doc(tmp_path, minimal_doc())

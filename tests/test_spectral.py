@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kirchhofflab import (
     GevreyParams,
@@ -18,11 +20,52 @@ from kirchhofflab import (
     state_gevrey_norm,
 )
 from kirchhofflab.certificate import data_radius
-from kirchhofflab.spectral import _NORM_CHUNK
+from kirchhofflab.spectral import _LOG_MAX, _NORM_CHUNK
 
 
 def basis(n=4):
     return ModeBasis.interval_dirichlet(n)
+
+
+@st.composite
+def norm_series_cases(draw):
+    """Trajectories whose norm series runs the scaled sum of squares, its fallback, or both.
+
+    Weights spanning more than 708 nats force the log-sum-exp; so do columns
+    of coefficients near 1e-170, whose squares underflow.  Coefficients are
+    drawn across 1e-170..1e200, then scaled so that no weighted square passes
+    e^250: both sides round in log space, so they agree to 1e-13 only while
+    log-norms stay moderate.  One coefficient of 1e200 overflows the norm.
+    """
+    wide = draw(st.booleans())
+    n = draw(st.integers(16, 24) if wide else st.integers(1, 24))
+    s = draw(st.floats(1.2, 1.6) if wide else st.floats(1.2, 3.0))
+    m = draw(st.sampled_from([1, 3, _NORM_CHUNK, _NORM_CHUNK + 5]))  # and a partial chunk
+    b = basis(n)
+    mu = b.frequencies
+    if wide:
+        eta = draw(st.floats(710.0, 780.0)) / (mu[-1] ** (1.0 / s) - 1.0)
+    else:
+        eta = draw(st.floats(0.1, 50.0))
+    gp = GevreyParams(s, eta)
+    log_w = gp.eta * mu ** (1.0 / s)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def coefficients(sigma):
+        c = rng.choice([-1.0, 1.0], size=(n, m)) * 10.0 ** rng.uniform(-170.0, 200.0, (n, m))
+        c[rng.uniform(size=(n, m)) < 0.3] = 0.0  # samples with only some modes set
+        c[:, 3::7] = np.sign(c[:, 3::7]) * 10.0 ** rng.uniform(-170.0, -160.0, c[:, 3::7].shape)
+        with np.errstate(divide="ignore"):
+            log_sq = (log_w + 2.0 * sigma * np.log(mu))[:, None] + 2.0 * np.log(np.abs(c))
+        return c * np.exp(np.minimum(0.0, 0.5 * (250.0 - log_sq)))
+
+    pos, vel = coefficients(1.5), coefficients(0.5)
+    pos[:, ::5] = vel[:, ::5] = 0.0  # all-zero samples
+    top_log_sq = log_w[-1] + 3.0 * math.log(mu[-1]) + 2.0 * math.log(1e200)
+    overflow = draw(st.booleans()) and top_log_sq > 1500.0
+    if overflow:
+        pos[-1, m // 2] = 1e200
+    return Trajectory(b, np.linspace(0.0, 1.0, m), pos, vel), gp, overflow
 
 
 class TestModeBasis:
@@ -237,6 +280,63 @@ class TestTrajectory:
         assert series.shape == (m,)
         assert np.all(series[::97] == 0.0)
         assert np.allclose(series, expected, rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(norm_series_cases())
+    def test_state_norm_series_property(self, case):
+        traj, gp, overflow = case
+        if overflow:
+            with pytest.raises(RangeOverflowError) as err:
+                traj.state_gevrey_series(gp)
+            with pytest.raises(RangeOverflowError) as ref:
+                state_gevrey_norm(traj.state_at(traj.times.size // 2), gp)
+            # the 1e200 coefficient outweighs every other term of its sample
+            assert err.value.log_value > _LOG_MAX
+            assert err.value.log_value == pytest.approx(ref.value.log_value, rel=1e-13)
+            return
+        series = traj.state_gevrey_series(gp)
+        expected = [state_gevrey_norm(traj.state_at(i), gp) for i in range(traj.times.size)]
+        assert np.all(series[::5] == 0.0)
+        assert np.allclose(series, expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "n, gp, entries",
+        [
+            # 1e160 squared is inf, yet the weighted norm is about 1e160
+            (3, GevreyParams(2.0, 0.5), {(0, 1): 1e160, (2, 1): 1e-3, (0, 2): 3.0, (1, 2): -1e-150}),
+            # weights e^55.6 .. e^795: scaled by the largest, mode 1's is about
+            # 4e-322, with two digits left, yet its term is as large as mode 24's
+            (24, GevreyParams(1.2, 55.6), {(0, 1): 1.6e118, (23, 1): 4.1e-43}),
+        ],
+    )
+    def test_state_norm_series_fallback(self, n, gp, entries):
+        pos = np.zeros((n, 4))
+        for k, value in entries.items():
+            pos[k] = value
+        traj = Trajectory(basis(n), np.linspace(0.0, 1.0, 4), pos, np.zeros((n, 4)))
+        series = traj.state_gevrey_series(gp)
+        expected = [state_gevrey_norm(traj.state_at(i), gp) for i in range(4)]
+        assert np.allclose(series, expected, rtol=1e-13, atol=0.0)
+
+    def test_dirichlet_series_is_computed_once(self):
+        rng = np.random.default_rng(3)
+        pos, vel = rng.normal(size=(2, 4, 5))
+        traj = Trajectory(basis(4), np.linspace(0.0, 1.0, 5), pos, vel)
+        d = traj.dirichlet_series()
+        assert traj.dirichlet_series() is d and not d.flags.writeable
+        assert np.array_equal(d, traj.basis.eigenvalues @ traj.position**2)
+        v = np.sum(traj.velocity**2, axis=0)
+        assert np.array_equal(traj.hamiltonian_series(), 0.5 * (d + v) + 0.25 * d * d)
+        assert np.array_equal(traj.induced_speed_series(), np.sqrt(1.0 + d))
+
+    def test_dirichlet_series_overflow_raises_on_every_call(self):
+        pos = np.full((4, 3), 1e200)
+        traj = Trajectory(basis(4), [0.0, 0.5, 1.0], pos, np.zeros((4, 3)))
+        for _ in range(2):
+            with pytest.raises(RangeOverflowError, match="overflows"):
+                traj.dirichlet_series()
+        with pytest.raises(RangeOverflowError):
+            traj.induced_speed_series()
 
     def test_copies_any_buffer_that_can_still_be_written(self):
         b = basis(3)
