@@ -57,20 +57,9 @@ def k0_constant(M: float, R: float, T: float, q: float) -> float:
 
 
 def eta0(M: float, R: float, T: float, s: float) -> float:
-    """Threshold radius 2 s M^2 e^(4M^2) R T^(1+1/s) + 4 M^2.
-
-    Exactly equals 2*s*k0_constant(M, R, T, 1 + 1/s) + 4*M^2; implemented
-    through that identity so the two stay consistent to the last bit.
-    """
-    q = q_from_s(s)
-    try:
-        value = 2.0 * s * k0_constant(M, R, T, q) + 4.0 * M * M
-    except RangeOverflowError:
-        value = math.inf
+    """Threshold radius 2 s K0 + 4 M^2 = 2 s M^2 e^(4M^2) R T^(1+1/s) + 4 M^2."""
+    _, _, value, log_val = _eta0_parts(M, R, T, s)
     if math.isinf(value):
-        log_val = np.logaddexp(
-            math.log(2.0 * s) + _log_k0(M, R, T, q), math.log(4.0 * M * M)
-        ).item()
         raise RangeOverflowError(
             f"threshold radius overflows double range (log value {log_val:.6g})",
             log_value=log_val,
@@ -156,6 +145,20 @@ def _log_k0(M: float, R: float, T: float, q: float) -> float:
     return 2.0 * math.log(M) + 4.0 * M * M + math.log(R) + q * math.log(T)
 
 
+def _eta0_parts(M: float, R: float, T: float, s: float):
+    """(K0, log K0, eta0, log eta0) at q = 1 + 1/s; K0 and eta0 are +inf past the double range."""
+    q = q_from_s(s)
+    try:
+        K0 = k0_constant(M, R, T, q)
+    except RangeOverflowError:
+        K0 = math.inf
+    log_K0 = _log_k0(M, R, T, q)
+    m2 = 4.0 * M * M
+    log_m2 = math.log(m2) if m2 > 0.0 else 2.0 * math.log(2.0 * M)  # 4M^2 may underflow
+    log_eta0 = np.logaddexp(math.log(2.0 * s) + log_K0, log_m2).item()
+    return K0, log_K0, 2.0 * s * K0 + m2, log_eta0
+
+
 def check_hypotheses(
     u0,
     u1,
@@ -190,16 +193,8 @@ def check_hypotheses(
     R = data_radius(u0, u1, basis, gp)
     q = q_from_s(s)
 
-    log_K0 = _log_k0(M, R, T, q)
-    try:
-        K0 = k0_constant(M, R, T, q)
-    except RangeOverflowError:
-        K0 = math.inf
-    # log form kept alongside so the certificate stays reportable past overflow
-    log_eta0 = np.logaddexp(
-        math.log(2.0 * s) + log_K0, math.log(4.0 * M * M)
-    ).item()
-    eta0_val = 2.0 * s * K0 + 4.0 * M * M
+    # log forms kept alongside so the certificate stays reportable past overflow
+    K0, log_K0, eta0_val, log_eta0 = _eta0_parts(M, R, T, s)
     eta_prime = eta - eta0_val
 
     verdicts = (

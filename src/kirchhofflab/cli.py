@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import certificate as cert
-from .coefficient import AdmissibleClass, CoefficientPath, check_admissibility
+from .coefficient import AdmissibleClass, _csv_cells, _write_csv, check_admissibility
 from .errors import HypothesisError, RangeOverflowError, ScenarioError, StabilityError
 from .linear import (
     LinearProblem,
@@ -44,7 +44,7 @@ from .nonlinear import (
     direct_oracle,
     fixed_point_solve,
 )
-from .scenario import Scenario, load_scenario
+from .scenario import MAX_AUDIT_ROWS, Scenario, check_bound, check_tol, load_scenario
 from .spectral import GevreyParams, dirichlet_energy, hamiltonian, sobolev_norm, gevrey_norm
 
 EXIT_OK = 0
@@ -81,31 +81,6 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(_jsonable(payload), f, indent=2)
         f.write("\n")
-
-
-# Rows formatted per block: column-wise formatting is fast, and blocks keep
-# the Python floats and strings of a long trajectory from all living at once.
-_CSV_BLOCK = 1024
-
-
-def _csv_cells(column, rows: slice = slice(None)):
-    """Cells of ``column[rows]``: a list of strings is already formatted."""
-    if isinstance(column, list):
-        return column[rows]
-    c = np.asarray(column)[rows]
-    if np.issubdtype(c.dtype, np.integer):
-        return map(str, c.tolist())
-    return map(repr, c.astype(float).tolist())
-
-
-def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    """Write CSV columns: arrays, or lists of cells from :func:`_csv_cells`."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        for i in range(0, len(columns[0]), _CSV_BLOCK):
-            rows = slice(i, i + _CSV_BLOCK)
-            cells = [_csv_cells(c, rows) for c in columns]
-            f.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _scenario_certificate(scn: Scenario):
@@ -165,7 +140,7 @@ def cmd_simulate(scn: Scenario, out: Path) -> int:
 
 
 def cmd_fixedpoint(scn: Scenario, out: Path, tol: float | None) -> int:
-    use_tol = tol if tol is not None else scn.tol
+    use_tol = scn.tol if tol is None else check_tol(tol, "--tol")
     report = fixed_point_solve(_build_run(scn), tol=use_tol, max_iter=scn.max_iter)
 
     _write_csv(
@@ -220,6 +195,8 @@ def cmd_linear_audit(scn: Scenario, out: Path) -> int:
     m = scn.manufactured
     basis = scn.build_basis()
     grid = scn.build_grid()
+    check_bound(scn.name, "audit CSV rows, basis.count x grid points", basis.count * grid.size,
+                MAX_AUDIT_ROWS)
     speed = scn.build_speed()
     coeff = speed.sample(grid)
     cls = AdmissibleClass(q=m.q, M=m.M, K0=m.amplitude, T=scn.horizon, m0=m.m0)

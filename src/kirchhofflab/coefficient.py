@@ -15,6 +15,30 @@ import numpy as np
 
 from .spectral import _readonly
 
+# Rows formatted per block: column-wise formatting is fast, and blocks keep
+# the Python floats and strings of a long trajectory from all living at once.
+_CSV_BLOCK = 1024
+
+
+def _csv_cells(column, rows: slice = slice(None)):
+    """Cells of ``column[rows]``: a list of strings is already formatted."""
+    if isinstance(column, list):
+        return column[rows]
+    c = np.asarray(column)[rows]
+    if np.issubdtype(c.dtype, np.integer):
+        return map(str, c.tolist())
+    return map(repr, c.astype(float).tolist())
+
+
+def _write_csv(path, header: list[str], columns: list) -> None:
+    """Write CSV columns: arrays, or lists of cells from :func:`_csv_cells`."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for i in range(0, len(columns[0]), _CSV_BLOCK):
+            rows = slice(i, i + _CSV_BLOCK)
+            cells = [_csv_cells(c, rows) for c in columns]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
 
 @dataclass(frozen=True)
 class AdmissibleClass:
@@ -112,9 +136,7 @@ class CoefficientPath:
         )
 
     def to_csv(self, path) -> None:
-        rows = map(",".join, zip(map(repr, self.times.tolist()), map(repr, self.values.tolist())))
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(["t,c", *rows]) + "\n")
+        _write_csv(path, ["t", "c"], [self.times, self.values])
 
     @classmethod
     def from_csv(cls, path) -> "CoefficientPath":

@@ -118,13 +118,6 @@ def _rk4_coefficients(h, a1, a2, a3, a4):
     )
 
 
-def _rk4_propagators(lam, h, c2_start, c2_mid, c2_end):
-    """Entries (pvv, pvw, pwv, pww), shape (steps, modes), of linear RK4 steps."""
-    cols = (np.asarray(a)[:, None] for a in (h, c2_start, c2_mid, c2_mid, c2_end))
-    cv, cw = _rk4_coefficients(*cols)
-    return tuple(c[i] + (c[i + 2] + c[i + 4] * lam) * lam for c in (cv, cw) for i in (0, 1))
-
-
 def _rk4_march(lam, v0, w0, m, degree, step_matrix):
     """March the stacked state x = (v, w) over m samples; returns (V, W) of shape (modes, m).
 
@@ -172,12 +165,10 @@ def solve_modes(
     position,
     velocity,
     grid,
-    workers: int = 1,
 ) -> Trajectory:
     """Integrate every basis mode with a shared coefficient path.
 
-    All modes advance together in one serial sweep over the grid.  ``workers``
-    is accepted for compatibility and has no effect.
+    All modes advance together in one serial sweep over the grid.
     """
     g = _validate_grid(coeff, grid)
     v0 = np.asarray(position, dtype=float)

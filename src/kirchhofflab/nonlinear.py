@@ -80,14 +80,18 @@ class FixedPointReport:
             raise ValueError("distances must be nonnegative")
 
 
+def _sweep(coeff: CoefficientPath, run: KirchhoffRun) -> Trajectory:
+    """Solve every mode of ``run``'s data with the speed ``coeff``."""
+    return solve_modes(coeff, run.basis, run.initial.position, run.initial.velocity, run.grid)
+
+
 def induced_speed(coeff: CoefficientPath, run: KirchhoffRun) -> CoefficientPath:
     """Map a speed to the speed induced by the linear solution it generates.
 
     Solves every mode with ``coeff`` and returns sqrt(1 + D(t)) sampled on the
     run grid, D being the Dirichlet energy of the solution.
     """
-    traj = solve_modes(coeff, run.basis, run.initial.position, run.initial.velocity, run.grid)
-    return CoefficientPath(run.grid, traj.induced_speed_series())
+    return CoefficientPath(run.grid, _sweep(coeff, run).induced_speed_series())
 
 
 def fixed_point_solve(
@@ -112,7 +116,7 @@ def fixed_point_solve(
     distances: list[float] = []
     for _ in range(max_iter):
         traj = None  # release the previous iterate before the next solve allocates
-        traj = solve_modes(coeff, run.basis, run.initial.position, run.initial.velocity, run.grid)
+        traj = _sweep(coeff, run)
         new_values = traj.induced_speed_series()
         d = float(np.max(np.abs(new_values - coeff.values)))
         distances.append(d)
@@ -290,8 +294,8 @@ def perturbation_probe(
                     f"slope {report.worst_slope_margin:.3g})"
                 )
 
-    base = solve_modes(coeff, run.basis, run.initial.position, run.initial.velocity, run.grid)
-    shifted = solve_modes(pert, run.basis, run.initial.position, run.initial.velocity, run.grid)
+    base = _sweep(coeff, run)
+    shifted = _sweep(pert, run)
     dv = shifted.position - base.position
     dw = shifted.velocity - base.velocity
     lam = run.basis.eigenvalues

@@ -19,12 +19,16 @@ from .coefficient import OscillatingSpeed, graded_grid, uniform_grid
 
 COMMANDS = ("simulate", "fixedpoint", "linear-audit", "certify", "norms")
 
-# Size bounds, so that no scenario that parses asks for an unbounded
-# (2, points, modes) trajectory buffer.  The largest shipped or benchmarked
-# run, 1024 modes x 2222 points, stays more than 10x below each.
+# Size and work bounds, so that no scenario that parses asks for an unbounded
+# (2, points, modes) trajectory buffer, fixed-point work (count x points x
+# max_iter mode-samples) or linear-audit output (count x points CSV rows).
+# Every shipped or benchmarked run stays more than 10x below each.
 MAX_MODES = 2**14
 MAX_POINTS = 2**20
 MAX_MODE_SAMPLES = 2**25
+MAX_ITER = 1000
+MAX_ITER_MODE_SAMPLES = 2**30
+MAX_AUDIT_ROWS = 2**20
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,15 @@ def _integer(value, path: str, *, lo: int, hi: int | None = None) -> int:
     if hi is not None and value > hi:
         _fail(path, f"must be <= {hi}, got {value}")
     return value
+
+
+def check_tol(value, path: str) -> float:
+    return _number(value, path, lo=0.0, strict_lo=True)
+
+
+def check_bound(path: str, what: str, value, bound: int) -> None:
+    if value > bound:
+        _fail(path, f"{what} = {value:.6g}, above the bound {bound}")
 
 
 def _grid_points(steps: int, horizon: float, grading: float | None, end_gap: float) -> float:
@@ -243,14 +256,8 @@ def parse_scenario(doc, source: str = "scenario") -> Scenario:
     if ("end_gap" in grid or grading is not None) and not 0.0 < horizon - end_gap < horizon:
         _fail(f"{source}.grid.end_gap", f"need 0 < horizon - end_gap < horizon, got {end_gap}")
     points = _grid_points(steps, horizon, grading, end_gap)
-    if points > MAX_POINTS:
-        _fail(f"{source}.grid", f"may have up to {points:.6g} points, above the bound {MAX_POINTS}")
-    if count * points > MAX_MODE_SAMPLES:
-        _fail(
-            source,
-            f"basis.count x grid points = {count * points:.6g} mode-samples, "
-            f"above the bound {MAX_MODE_SAMPLES}",
-        )
+    check_bound(f"{source}.grid", "points (upper estimate)", points, MAX_POINTS)
+    check_bound(source, "basis.count x grid points", count * points, MAX_MODE_SAMPLES)
 
     position, velocity = _parse_initial(_require(doc, "initial", source), count, s, f"{source}.initial")
 
@@ -260,8 +267,10 @@ def parse_scenario(doc, source: str = "scenario") -> Scenario:
         {"tol", "max_iter", "sigma", "M", "deltas", "manufactured"},
         f"{source}.options",
     )
-    tol = _number(opts.get("tol", 1e-10), f"{source}.options.tol", lo=0.0, strict_lo=True)
-    max_iter = _integer(opts.get("max_iter", 30), f"{source}.options.max_iter", lo=1)
+    tol = check_tol(opts.get("tol", 1e-10), f"{source}.options.tol")
+    max_iter = _integer(opts.get("max_iter", 30), f"{source}.options.max_iter", lo=1, hi=MAX_ITER)
+    work = count * points * max_iter
+    check_bound(source, "basis.count x grid points x options.max_iter", work, MAX_ITER_MODE_SAMPLES)
     sigma = _number(opts.get("sigma", 1.0), f"{source}.options.sigma", lo=1.0)
     m_choice = opts.get("M")
     if m_choice is not None:

@@ -145,6 +145,16 @@ class TestCheckHypotheses:
         assert cert.eta_prime == -math.inf
         assert not cert.passed
 
+    def test_tiny_M_choice_keeps_log_eta0_finite(self):
+        # 4*M^2 underflows to 0: log eta0 comes from log(2M)
+        M, s = 1e-200, 2.0
+        u0 = np.array([0.1, 0.0, 0.0, 0.0])
+        cert = check_hypotheses(u0, np.zeros(4), basis(), s=s, eta=5.0, T=1.0, M_choice=M)
+        assert cert.K0 == 0.0 and cert.eta0 == 0.0
+        expected = 2.0 * math.log(M) + math.log(2.0 * s * cert.R + 4.0)
+        assert cert.log_eta0 == pytest.approx(expected, rel=1e-12)
+        assert cert.machine_verdict() == "FAIL M>2,2H0<M^2/4-1"
+
     def test_data_shrinkage_preserves_pass(self):
         u0 = np.array([1e-8, 0.0, 0.0, 0.0])
         cert = check_hypotheses(u0, np.zeros(4), basis(), s=2.0, eta=17.0, T=1.0)

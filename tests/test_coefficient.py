@@ -65,6 +65,19 @@ class TestCoefficientPath:
         assert np.array_equal(p.times, q.times)
         assert np.array_equal(p.values, q.values)
 
+    def test_csv_bytes_match_row_join(self, tmp_path):
+        # the shared CSV writer against the row join to_csv used before it;
+        # 1203 rows cross a 1024-row block boundary
+        t = np.concatenate(([0.0, 5e-324, 1e-300], np.linspace(0.5, 2.0, 1199), [1e300]))
+        c = np.resize([1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, -0.0, 0.0, 1 / 3], t.size)
+        p = CoefficientPath(t, c)
+        f = tmp_path / "path.csv"
+        p.to_csv(f)
+        rows = map(",".join, zip(map(repr, t.tolist()), map(repr, c.tolist())))
+        assert f.read_bytes() == ("\n".join(["t,c", *rows]) + "\n").encode()
+        q = CoefficientPath.from_csv(f)
+        assert np.array_equal(q.values, c) and np.array_equal(np.signbit(q.values), np.signbit(c))
+
 
 class TestCheckAdmissibility:
     def test_constant_path_passes(self):

@@ -1,4 +1,5 @@
 """Strict scenario parsing, CLI exit codes and output determinism."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -19,6 +20,9 @@ from kirchhofflab.cli import (
     main,
 )
 from kirchhofflab.scenario import (
+    MAX_AUDIT_ROWS,
+    MAX_ITER,
+    MAX_ITER_MODE_SAMPLES,
     MAX_MODE_SAMPLES,
     MAX_MODES,
     MAX_POINTS,
@@ -61,12 +65,12 @@ def mutated_copy(tmp_path, name, changes):
     return write_doc(tmp_path, doc)
 
 
-def run_cli(tmp_path, command, cfg):
+def run_cli(tmp_path, command, cfg, *flags):
     """Run the CLI in a child process, with a time bound."""
     src = str(Path(kirchhofflab.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "kirchhofflab.cli", command, "--config", cfg,
-         "--out-dir", str(tmp_path / "out")],
+         "--out-dir", str(tmp_path / "out"), *flags],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -276,10 +280,17 @@ class TestCliExitCodes:
             ("fixedpoint", "two-mode", {"basis.count": 4096, "grid.steps": 2**14}, MAX_MODE_SAMPLES),
             # gaps shrink by 1e-12 a step: about 1e13 graded points
             ("linear-audit", "linear-audit", {"grid.grading_ratio": 1.0 - 1e-12}, MAX_POINTS),
+            ("fixedpoint", "two-mode", {"options.max_iter": 10**9}, MAX_ITER),
+            # 1.7e7 mode-samples a sweep, 100 sweeps
+            ("fixedpoint", "two-mode",
+             {"basis.count": 1024, "grid.steps": 2**14, "options.max_iter": 100},
+             MAX_ITER_MODE_SAMPLES),
+            # about 2.1e6 output rows; checked after the grid is built, before the solve
+            ("linear-audit", "linear-audit", {"basis.count": 1024}, MAX_AUDIT_ROWS),
         ],
     )
     def test_oversized_scenarios_exit_64(self, tmp_path, command, name, changes, bound):
-        # rejected at parse time, before anything of that size is allocated
+        # rejected before anything of that size is allocated or solved
         proc = run_cli(tmp_path, command, mutated_copy(tmp_path, name, changes))
         assert proc.returncode == EXIT_USAGE, proc.stderr
         lines = proc.stderr.splitlines()
@@ -339,6 +350,15 @@ class TestCliExitCodes:
         assert report["tolerance"] == 0.01
         assert report["iterations"] == 1  # the loose tolerance converges immediately
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_tol_flag_is_range_checked(self, tmp_path, tol):
+        cfg = str(scenario_path("two-mode"))
+        proc = run_cli(tmp_path, "fixedpoint", cfg, "--tol", tol)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("scenario error: --tol: "), proc.stderr
+        assert proc.stdout == ""
+
     def test_workers_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KIRCHHOFFLAB_WORKERS", "2")
         code = main(
@@ -373,3 +393,23 @@ class TestDeterminism:
         assert lines[0] == "t,hamiltonian,induced_speed,state_gevrey_norm"
         t, ham, speed, _ = lines[1].split(",")
         assert float(t) == 0.0 and float(ham) == 0.0 and float(speed) == 1.0
+
+
+def test_perfbench_trace_points_resolve():
+    # perfbench traces by patching names in the package; a rename or a moved
+    # import would otherwise show up only in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    from kirchhofflab import cli
+
+    main_fn = cli.main
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        assert tracer.missing == []
+        assert cli.main is not main_fn
+    finally:
+        tracer.restore()
+    assert cli.main is main_fn
