@@ -51,7 +51,7 @@ def k0_constant(M: float, R: float, T: float, q: float) -> float:
             f"slope scale overflows double range (log value {log_k0:.6g})",
             log_value=log_k0,
         )
-    if 4.0 * M * M <= 700.0:
+    if 4.0 * M * M <= 700.0 and q * math.log(T) <= _LOG_MAX:  # T**q stays finite
         return M * M * math.exp(4.0 * M * M) * R * T**q
     return math.exp(log_k0)
 

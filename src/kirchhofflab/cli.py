@@ -9,11 +9,14 @@ exit status:
     2   hypothesis unmet (certificate or audit precondition failed)
     3   fixed-point iteration did not converge
     4   numerical audit failed or solver guard tripped
-    64  usage or scenario parse error
+    64  usage or scenario parse error, or an artefact that cannot be written
 
 Outputs are deterministic: no timestamps, floats rendered with shortest
-round-trip decimals, one serial mode sweep (``--workers`` and
-KIRCHHOFFLAB_WORKERS are validated for compatibility but change nothing).
+round-trip decimals, one serial mode sweep.  ``--workers`` (or
+KIRCHHOFFLAB_WORKERS; default the CPU count) is the number of processes that
+write linear-audit's mode CSVs, capped at the usable CPUs, at MAX_WORKERS and
+at the number of files; it is 1 where ``os.fork`` does not exist.  A value
+that is not a positive integer exits 64.  The bytes written do not depend on it.
 """
 from __future__ import annotations
 
@@ -54,6 +57,7 @@ EXIT_AUDIT_FAILED = 4
 EXIT_USAGE = 64
 
 WORKERS_ENV = "KIRCHHOFFLAB_WORKERS"
+MAX_WORKERS = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,7 +193,50 @@ def cmd_fixedpoint(scn: Scenario, out: Path, tol: float | None) -> int:
     return EXIT_OK
 
 
-def cmd_linear_audit(scn: Scenario, out: Path) -> int:
+def _write_csvs(jobs: list[tuple], workers: int) -> None:
+    """Write each ``(path, header, columns)`` job of ``jobs`` with :func:`_write_csv`.
+
+    Forked child ``r`` of ``workers - 1`` writes ``jobs[r::workers]`` and this
+    process writes ``jobs[0::workers]``, then reaps every child.  A failure in
+    any of them raises one :class:`ScenarioError`: this process's own first,
+    then the children's in rank order.
+    """
+    workers = min(workers, len(jobs))
+    children, errors = [], []
+    try:
+        for rank in range(1, workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_end)
+                    for job in jobs[rank::workers]:
+                        _write_csv(*job)
+                    status = 0
+                except OSError as exc:
+                    os.write(write_end, str(exc).encode()[:4096])
+                finally:
+                    os._exit(status)  # never return into the caller's stack
+            os.close(write_end)
+            children.append((pid, read_end, jobs[rank][0]))
+        for job in jobs[0::workers]:
+            _write_csv(*job)
+    except OSError as exc:
+        errors.append(str(exc))
+    finally:
+        for pid, read_end, path in children:
+            status = os.waitpid(pid, 0)[1]
+            with open(read_end, "rb") as pipe:
+                message = pipe.read().decode(errors="replace")
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                errors.append(message or f"writer process for {path} ended with exit code {code}")
+    if errors:
+        raise ScenarioError(errors[0])
+
+
+def cmd_linear_audit(scn: Scenario, out: Path, workers: int) -> int:
     if scn.manufactured is None:
         raise ScenarioError(f"{scn.name}: linear-audit requires options.manufactured")
     m = scn.manufactured
@@ -216,7 +263,7 @@ def cmd_linear_audit(scn: Scenario, out: Path) -> int:
     mono_rtol = 1e-6
     quad_tol = 1e-6
     t_cells = list(_csv_cells(traj.times))  # every mode CSV shares the time column
-    modes = []
+    modes, jobs = [], []
     all_ok = True
     for k in range(basis.count):
         mt = mode_trajectory(traj, k)
@@ -227,11 +274,8 @@ def cmd_linear_audit(scn: Scenario, out: Path) -> int:
         bound_k = decay_integral_bound(mt.mu, cls, scn.gevrey.s)
         ok = worst_uptick <= mono_rtol and integral <= bound_k + quad_tol
         all_ok = all_ok and ok
-        _write_csv(
-            out / f"{scn.name}-mode{k + 1}.csv",
-            ["t", "v", "vdot", "E"],
-            [t_cells, mt.v, mt.vdot, energy],
-        )
+        jobs.append((out / f"{scn.name}-mode{k + 1}.csv", ["t", "v", "vdot", "E"],
+                     [t_cells, mt.v, mt.vdot, energy]))
         modes.append(
             {
                 "mode": k + 1,
@@ -242,6 +286,8 @@ def cmd_linear_audit(scn: Scenario, out: Path) -> int:
                 "ok": ok,
             }
         )
+
+    _write_csvs(jobs, workers)
 
     passed = bool(admissibility.passed and bound.passed and all_ok)
     _write_json(
@@ -319,18 +365,24 @@ def cmd_norms(scn: Scenario) -> int:
     return EXIT_OK
 
 
-def _resolve_workers(flag: int | None) -> int:
-    if flag is not None:
-        return max(1, flag)
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
+def _resolve_workers(flag: str | None) -> int:
+    """Writer processes: ``flag``, else the environment, else the CPU count, capped."""
+    text, source = flag, "--workers"
+    if text is None:
+        text, source = os.environ.get(WORKERS_ENV), f"environment variable {WORKERS_ENV}"
+    if text is None:
+        value = os.cpu_count() or 1
+    else:
         try:
-            return max(1, int(env))
+            value = int(text)
         except ValueError:
-            raise ScenarioError(
-                f"environment variable {WORKERS_ENV} must be an integer, got {env!r}"
-            )
-    return os.cpu_count() or 1
+            value = 0
+        if value < 1:
+            raise ScenarioError(f"{source} must be a positive integer, got {text!r}")
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(value, cpus or 1, MAX_WORKERS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out-dir", default=".", help="directory for output artifacts")
-        p.add_argument("--workers", type=int, default=None, help="ignored; kept for compatibility")
+        p.add_argument("--workers", default=None,
+                       help="processes writing linear-audit's mode CSVs, a positive integer "
+                            f"(default: CPU count; capped at the CPUs and at {MAX_WORKERS})")
         p.add_argument("--tol", type=float, default=None, help="override scenario tolerance")
     return parser
 
@@ -354,7 +408,7 @@ def main(argv=None) -> int:
 
     try:
         scn = load_scenario(args.config)
-        _resolve_workers(args.workers)  # validated only: the mode sweep is serial
+        workers = _resolve_workers(args.workers)
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if args.subcommand == "simulate":
@@ -362,11 +416,11 @@ def main(argv=None) -> int:
         if args.subcommand == "fixedpoint":
             return cmd_fixedpoint(scn, out, args.tol)
         if args.subcommand == "linear-audit":
-            return cmd_linear_audit(scn, out)
+            return cmd_linear_audit(scn, out, workers)
         if args.subcommand == "certify":
             return cmd_certify(scn, out)
         return cmd_norms(scn)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except HypothesisError as exc:

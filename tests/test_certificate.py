@@ -14,6 +14,7 @@ from kirchhofflab import (
     k0_constant,
     q_from_s,
 )
+from kirchhofflab.certificate import _log_k0
 
 
 def basis(n=4):
@@ -64,6 +65,18 @@ class TestEta0:
         with pytest.raises(RangeOverflowError) as err:
             eta0(14.0, 1.0, 1.0, 2.0)
         assert err.value.log_value == pytest.approx(4.0 * 14.0**2, rel=0.01)
+
+    @pytest.mark.parametrize("a", [1e-80, 1e-100, 1e-120])
+    def test_slope_scale_past_overflowing_horizon_power(self, a):
+        # T**q overflows at T = 1e300, q = 1.5, but K0 = M^2 e^(4M^2) R T^q does not
+        T = 1e300
+        cert = check_hypotheses([a, 0, 0, 0], np.zeros(4), basis(), s=2.0, eta=17.0, T=T)
+        q = q_from_s(2.0)
+        assert q * math.log(T) > math.log(np.finfo(float).max)
+        expected = math.exp(_log_k0(cert.M, cert.R, T, q))
+        assert math.isfinite(expected)
+        assert k0_constant(cert.M, cert.R, T, q) == pytest.approx(expected, rel=1e-12)
+        assert cert.K0 == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_each_argument(self):
         base = dict(M=2.5, R=1.0, T=1.0, s=2.0)

@@ -2,6 +2,7 @@
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,9 @@ from kirchhofflab.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_WORKERS,
+    _resolve_workers,
+    _write_csvs,
     main,
 )
 from kirchhofflab.scenario import (
@@ -65,13 +69,26 @@ def mutated_copy(tmp_path, name, changes):
     return write_doc(tmp_path, doc)
 
 
-def run_cli(tmp_path, command, cfg, *flags):
+# The CLI's entry point, then exit 99 if it left a child process unreaped.
+MAIN_THEN_CHECK_CHILDREN = """
+import os, sys
+from kirchhofflab.cli import main
+code = main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit(99)
+"""
+
+
+def run_cli(tmp_path, command, cfg, *flags, out=None, env=None):
     """Run the CLI in a child process, with a time bound."""
     src = str(Path(kirchhofflab.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-m", "kirchhofflab.cli", command, "--config", cfg,
-         "--out-dir", str(tmp_path / "out"), *flags],
-        env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", MAIN_THEN_CHECK_CHILDREN, command, "--config", cfg,
+         "--out-dir", str(out or tmp_path / "out"), *flags],
+        env={**os.environ, **(env or {}), "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=120,
@@ -272,6 +289,14 @@ class TestCliExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
 
+    @pytest.mark.parametrize("a", [1e-80, 1e-100, 1e-120])
+    def test_overflowing_horizon_power_is_not_a_traceback(self, tmp_path, a):
+        # T**q overflows while K0 itself fits in a double
+        cfg = mutated_copy(tmp_path, "certify-pass", {"horizon": 1e300, "initial.position": [a]})
+        proc = run_cli(tmp_path, "certify", cfg)
+        assert proc.returncode in (EXIT_OK, EXIT_HYPOTHESIS, EXIT_AUDIT_FAILED, EXIT_USAGE), proc.stderr
+        assert len(proc.stderr.splitlines()) <= 1, proc.stderr
+
     @pytest.mark.parametrize(
         "command, name, changes, bound",
         [
@@ -359,6 +384,68 @@ class TestCliExitCodes:
         assert len(lines) == 1 and lines[0].startswith("scenario error: --tol: "), proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("value", ["0", "-5", "abc", "2.5", ""])
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_workers_must_be_a_positive_integer(self, tmp_path, value, from_env):
+        cfg = str(scenario_path("certify-pass"))
+        if from_env:
+            proc = run_cli(tmp_path, "certify", cfg, env={"KIRCHHOFFLAB_WORKERS": value})
+            source = "environment variable KIRCHHOFFLAB_WORKERS"
+        else:
+            proc = run_cli(tmp_path, "certify", cfg, f"--workers={value}")
+            source = "--workers"
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert lines == [f"scenario error: {source} must be a positive integer, got {value!r}"]
+        assert proc.stdout == ""
+
+    def test_workers_cap(self, monkeypatch):
+        # the resolver alone: nothing runs, so nothing forks
+        monkeypatch.delenv("KIRCHHOFFLAB_WORKERS", raising=False)
+        cap = min(len(os.sched_getaffinity(0)), MAX_WORKERS)
+        assert _resolve_workers("1000000") == cap
+        assert _resolve_workers("1") == 1
+        assert _resolve_workers(None) == min(os.cpu_count(), cap)
+        monkeypatch.setenv("KIRCHHOFFLAB_WORKERS", "1000000")
+        assert _resolve_workers(None) == cap
+        assert _resolve_workers("1") == 1  # the flag wins over the environment
+        monkeypatch.delattr(os, "fork")
+        assert _resolve_workers("1000000") == 1
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("blocked", ["out-dir", "mode2", "mode3"])
+    def test_unwritable_artefacts_exit_64(self, tmp_path, workers, blocked):
+        # at --workers 2, mode2 falls to the forked writer and mode3 to the parent
+        out = tmp_path / "out"
+        if blocked == "out-dir":
+            out.write_text("")
+            path = out
+        else:
+            path = out / f"linear-audit-{blocked}.csv"
+            path.mkdir(parents=True)
+        proc = run_cli(tmp_path, "linear-audit", str(scenario_path("linear-audit")),
+                       "--workers", workers, out=out)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("scenario error: "), proc.stderr
+        assert str(path) in lines[0]
+
+    def test_killed_writer_is_a_scenario_error(self, tmp_path):
+        parent = os.getpid()
+
+        class KillsChild(list):
+            def __len__(self):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return super().__len__()
+
+        jobs = [(tmp_path / f"m{k}.csv", ["x"], [KillsChild(["1.0"])]) for k in range(3)]
+        with pytest.raises(ScenarioError, match=rf"{jobs[1][0]}.*exit code -{signal.SIGKILL}"):
+            _write_csvs(jobs, 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert [p.read_text() for p in (jobs[0][0], jobs[2][0])] == ["x\n1.0\n"] * 2
+
     def test_workers_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KIRCHHOFFLAB_WORKERS", "2")
         code = main(
@@ -383,6 +470,20 @@ class TestDeterminism:
         assert files_a == files_b
         for name in files_a:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("count", [16, 5, 1])
+    def test_linear_audit_bytes_do_not_depend_on_workers(self, tmp_path, count):
+        # 5 mode files do not split evenly; 1 file caps the writers at 1
+        cfg = mutated_copy(tmp_path, "linear-audit", {"basis.count": count,
+                                                      "initial.family.modes": [1, count]})
+        outs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"w{workers}"
+            assert main(["linear-audit", "--config", cfg, "--out-dir", str(out),
+                         "--workers", workers]) == EXIT_OK
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(outs[0]) == count + 1
+        assert outs[0] == outs[1] == outs[2]
 
     def test_trajectory_csv_round_trip_precision(self, tmp_path):
         assert (
