@@ -21,6 +21,7 @@ that is not a positive integer exits 64.  The bytes written do not depend on it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -199,7 +200,8 @@ def _write_csvs(jobs: list[tuple], workers: int) -> None:
     Forked child ``r`` of ``workers - 1`` writes ``jobs[r::workers]`` and this
     process writes ``jobs[0::workers]``, then reaps every child.  A failure in
     any of them raises one :class:`ScenarioError`: this process's own first,
-    then the children's in rank order.
+    then the children's in rank order.  Before it raises, every job's file is
+    removed, so a failure leaves the same files at every worker count.
     """
     workers = min(workers, len(jobs))
     children, errors = [], []
@@ -233,6 +235,9 @@ def _write_csvs(jobs: list[tuple], workers: int) -> None:
                 code = os.waitstatus_to_exitcode(status)
                 errors.append(message or f"writer process for {path} ended with exit code {code}")
     if errors:
+        for job in jobs:
+            with contextlib.suppress(OSError):  # a directory in the way, or no file
+                os.unlink(job[0])
         raise ScenarioError(errors[0])
 
 

@@ -33,7 +33,7 @@ from kirchhofflab import (
     uniform_grid,
     verify_energy_bound,
 )
-from kirchhofflab.linear import GUARD, _rk4_coefficients, _rk4_modes
+from kirchhofflab.linear import GUARD, _rk4_coefficients, _rk4_march, _rk4_modes
 
 Q, S, T = 1.5, 2.0, 1.0
 
@@ -111,14 +111,100 @@ class TestSolveModes:
             assert np.allclose(traj.position[k], mt.v, atol=1e-14)
             assert np.allclose(traj.velocity[k], mt.vdot, atol=1e-14)
 
-    def test_trajectory_adopts_the_sweep_buffers(self):
+    # every mode live, two (only those march), one and none
+    @pytest.mark.parametrize("pos", [[1, 1, 1, 1], [1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0]])
+    def test_trajectory_adopts_the_sweep_buffers(self, pos):
         basis = ModeBasis.interval_dirichlet(4)
         grid = uniform_grid(1.0, 50)
         coeff = CoefficientPath.constant(1.0, grid)
-        V, W = _rk4_modes(coeff, basis.eigenvalues, np.ones(4), np.zeros(4), grid)
+        V, W = _rk4_modes(coeff, basis.eigenvalues, np.array(pos, float), np.zeros(4), grid)
         assert not V.flags.writeable and not W.flags.writeable
         traj = Trajectory(basis, grid, V, W)
         assert np.shares_memory(traj.position, V) and np.shares_memory(traj.velocity, W)
+
+
+def full_march(coeff, lam, v0, w0, grid):
+    """The sweep that marches every mode, zero-data modes included."""
+    c2_nodes = coeff.evaluate(grid) ** 2
+    c2_mids = coeff.evaluate(0.5 * (grid[:-1] + grid[1:])) ** 2
+    cv, cw = _rk4_coefficients(np.diff(grid), c2_nodes[:-1], c2_mids, c2_mids, c2_nodes[1:])
+    steps = np.stack(np.broadcast_arrays(*cv, *cw), axis=-1).reshape(-1, 2, 6)
+    return _rk4_march(lam, v0, w0, grid.size, 2, lambda i, _rows, _x: steps[i])
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.strides == b.strides
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def check_against_full_march(basis, coeff, pos, vel, grid):
+    """solve_modes equals the full march bit for bit; zero-data rows are +0.0 after sample 0."""
+    traj = solve_modes(coeff, basis, pos, vel, grid)
+    V, W = full_march(coeff, basis.eigenvalues, pos, vel, grid)
+    assert_same_bits(traj.position, V)
+    assert_same_bits(traj.velocity, W)
+    dead = (pos == 0.0) & (vel == 0.0)
+    for arr in (traj.position, traj.velocity):
+        rest = arr[dead, 1:]
+        assert np.all(rest == 0.0) and not np.any(np.signbit(rest))
+    return traj
+
+
+@st.composite
+def sparse_sweep_cases(draw):
+    """Bases of up to 64 modes whose data is zero (either sign) outside a random live set."""
+    n = draw(st.integers(1, 64))
+    freqs = sorted(draw(st.lists(st.floats(0.1, 64.0), min_size=n, max_size=n, unique=True)))
+    basis = ModeBasis("interval-dirichlet", np.array(freqs))
+    kind = draw(st.sampled_from(["none", "one", "all", "some"]))
+    if kind == "some":
+        live = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        one = draw(st.integers(0, n - 1))
+        live = [kind == "all" or (kind == "one" and k == one) for k in range(n)]
+    zero = st.sampled_from([0.0, -0.0])
+    nonzero = st.floats(-1.0, 1.0).filter(lambda x: x != 0.0)
+    pos, vel = np.empty(n), np.empty(n)
+    for k in range(n):
+        pair = [draw(nonzero), draw(st.one_of(zero, nonzero))] if live[k] else [draw(zero)] * 2
+        pos[k], vel[k] = pair[::-1] if draw(st.booleans()) else pair
+    steps = draw(st.integers(1, 40))
+    values = np.array(draw(st.lists(st.floats(1.0, 2.0), min_size=steps + 1, max_size=steps + 1)))
+    dt = draw(st.floats(0.05, 1.0)) * GUARD / (values.max() * freqs[-1])
+    grid = uniform_grid(dt * steps, steps)
+    return basis, CoefficientPath(grid, values), pos, vel, grid
+
+
+class TestLiveModeSweep:
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_sweep_cases())
+    def test_matches_full_march_bit_for_bit(self, case):
+        check_against_full_march(*case)
+
+    def sweep_case(self, pos, vel, steps=400):
+        basis = ModeBasis.interval_dirichlet(len(pos))
+        grid = uniform_grid(1.0, steps)
+        coeff = CoefficientPath(grid, 1.0 + 0.2 * np.sin(7.0 * grid))
+        return basis, coeff, np.array(pos), np.array(vel), grid
+
+    def test_negative_zero_data_keeps_its_sign_at_sample_zero(self):
+        # two live modes out of six, so the compacted march runs
+        pos = [0.3, -0.0, 0.0, -0.0, 0.1, 0.0]
+        vel = [0.0, -0.0, -0.0, 0.0, -0.2, 0.0]
+        traj = check_against_full_march(*self.sweep_case(pos, vel))
+        assert list(np.signbit(traj.position[:, 0])) == list(np.signbit(pos))
+        assert list(np.signbit(traj.velocity[:, 0])) == list(np.signbit(vel))
+
+    def test_one_live_mode_marches_every_mode(self):
+        # a one-column march goes through matrix-vector BLAS and differs in last bits
+        for k in range(6):
+            pos, vel = np.zeros(6), np.zeros(6)
+            pos[k], vel[k] = 0.3, -0.7
+            check_against_full_march(*self.sweep_case(pos, vel))
+
+    def test_no_live_mode(self):
+        traj = check_against_full_march(*self.sweep_case([0.0, -0.0, 0.0], [-0.0, 0.0, 0.0]))
+        assert np.all(traj.position == 0.0) and np.all(traj.velocity == 0.0)
 
 
 def stagewise_rk4_step(lam, v, w, h, a1, a2, a3, a4):

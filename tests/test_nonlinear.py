@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kirchhofflab import (
@@ -16,17 +16,21 @@ from kirchhofflab import (
     RangeOverflowError,
     SpectralState,
     StabilityError,
+    check_hypotheses,
     check_induced_speed,
+    data_radius,
     direct_oracle,
     dirichlet_energy,
     fixed_point_solve,
     hamiltonian,
     induced_slope_bound,
     induced_speed,
+    k0_constant,
     perturbation_probe,
     sup_distance,
     uniform_grid,
 )
+from kirchhofflab.certificate import _M_MARGIN
 from kirchhofflab.linear import GUARD
 
 GP = GevreyParams(s=2.0, eta=2.0)
@@ -381,6 +385,47 @@ class TestSolverAgreementSweep:
             assert gap <= 1e-7
             ham = oracle.hamiltonian_series()
             assert np.max(np.abs(ham - ham[0])) / max(ham[0], 1e-30) < 1e-7
+
+
+@st.composite
+def certified_sparse_runs(draw):
+    """At most 8 modes, some with zero data, at most 400 steps, data the certificate passes.
+
+    Random directions are scaled to a random fraction of the largest data
+    radius R with eta > eta0 = 2 s K0 + 4 M^2, K0 = M^2 e^(4M^2) R T^q being
+    linear in R; M is the certificate's choice for data this small.
+    """
+    n = draw(st.integers(1, 8))
+    basis = ModeBasis.interval_dirichlet(n)
+    # no subnormal directions: their squares vanish from the data radius
+    unit = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-6, 1.0), st.floats(-1.0, -1e-6))
+    pos, vel = (np.array(draw(st.lists(unit, min_size=n, max_size=n))) for _ in range(2))
+    assume(np.any(pos != 0.0) or np.any(vel != 0.0))
+    s, horizon = draw(st.floats(1.2, 4.0)), draw(st.floats(0.1, 2.0))
+    M = 2.0 * (1.0 + _M_MARGIN)
+    eta = draw(st.floats(4.0 * M * M + 0.05, 40.0))
+    gp = GevreyParams(s=s, eta=eta)
+    r_max = (eta - 4.0 * M * M) / (2.0 * s * k0_constant(M, 1.0, horizon, 1.0 + 1.0 / s))
+    scale = math.sqrt(draw(st.floats(1e-6, 0.9)) * r_max / data_radius(pos, vel, basis, gp))
+    pos, vel = scale * pos, scale * vel
+    assume(check_hypotheses(pos, vel, basis, s, eta, horizon).passed)
+    initial = SpectralState(basis, pos, vel)
+    # inside both solvers' guard c * n * dt <= GUARD, with room above the oracle's ceiling
+    ceiling = math.sqrt(1.0 + 2.0 * hamiltonian(initial)) * (1.0 + 1e-6)
+    steps = draw(st.integers(math.ceil(horizon * n * ceiling / GUARD), 400))
+    return KirchhoffRun(basis, initial, horizon, gp, uniform_grid(horizon, steps))
+
+
+class TestCertifiedSparseData:
+    @settings(max_examples=100, deadline=None)
+    @given(certified_sparse_runs())
+    def test_fixed_point_converges_to_the_oracle(self, run):
+        fp = fixed_point_solve(run, tol=1e-10, max_iter=30)
+        assert fp.converged
+        oracle = direct_oracle(run)
+        assert np.max(np.abs(fp.final_coeff.values - oracle.induced_speed_series())) <= 1e-6
+        scale = np.max(np.abs(oracle.position))
+        assert np.max(np.abs(fp.final_solution.position - oracle.position)) <= 1e-6 * scale
 
 
 class TestPerturbationProbe:
