@@ -21,7 +21,7 @@ from .spectral import (
     ModeBasis,
     SpectralState,
     _LOG_MAX,
-    gevrey_norm,
+    _data_norm_sq,
     hamiltonian,
 )
 
@@ -73,15 +73,7 @@ def data_radius(u0, u1, basis: ModeBasis, gp: GevreyParams) -> float:
     Returns sum_k e^(eta mu^(1/s)) (mu^3 u0_k^2 + mu u1_k^2); the hypotheses
     compare this against the chosen radius bound R.
     """
-    p = gevrey_norm(u0, basis, gp, sigma=1.5)
-    v = gevrey_norm(u1, basis, gp, sigma=0.5)
-    try:
-        radius = p**2 + v**2
-    except OverflowError:
-        radius = math.inf
-    if math.isinf(radius):
-        raise RangeOverflowError("data radius overflows double range")
-    return radius
+    return _data_norm_sq(u0, u1, basis, gp, 1.5, "data radius")
 
 
 @dataclass(frozen=True)
@@ -175,10 +167,7 @@ def check_hypotheses(
     hypothesis into a deterministic construction.  Failing hypotheses yield a
     failing certificate, never an exception.
     """
-    if not s > 1.0:
-        raise ValueError(f"Gevrey order must satisfy s > 1, got {s}")
-    if not eta > 0.0:
-        raise ValueError(f"radius must be positive, got {eta}")
+    gp = GevreyParams(s=s, eta=eta)
     if not T > 0.0:
         raise ValueError(f"horizon must be positive, got {T}")
 
@@ -189,7 +178,6 @@ def check_hypotheses(
     else:
         M = float(M_choice)
 
-    gp = GevreyParams(s=s, eta=eta)
     R = data_radius(u0, u1, basis, gp)
     q = q_from_s(s)
 

@@ -82,6 +82,11 @@ def _jsonable(obj):
     return obj
 
 
+def _fields(report, *names) -> dict:
+    """The named attributes of ``report``, in order, as a dict for a JSON report."""
+    return {name: getattr(report, name) for name in names}
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(_jsonable(payload), f, indent=2)
@@ -173,14 +178,9 @@ def cmd_fixedpoint(scn: Scenario, out: Path, tol: float | None) -> int:
             "distances": list(report.distances),
             "tolerance": use_tol,
             "certificate": certificate.as_dict(),
-            "image_audit": {
-                "passed": image.passed,
-                "failures": list(image.failures),
-                "worst_lower_margin": image.worst_lower_margin,
-                "worst_upper_margin": image.worst_upper_margin,
-                "worst_envelope_margin": image.worst_envelope_margin,
-                "worst_uniform_margin": image.worst_uniform_margin,
-            },
+            "image_audit": _fields(image, "passed", "failures", "worst_lower_margin",
+                                   "worst_upper_margin", "worst_envelope_margin",
+                                   "worst_uniform_margin"),
         }
     )
     _write_json(out / f"{scn.name}-report.json", info)
@@ -244,6 +244,9 @@ def _write_csvs(jobs: list[tuple], workers: int) -> None:
 def cmd_linear_audit(scn: Scenario, out: Path, workers: int) -> int:
     if scn.manufactured is None:
         raise ScenarioError(f"{scn.name}: linear-audit requires options.manufactured")
+    if scn.grading_ratio is None:
+        raise ScenarioError(f"{scn.name}: the manufactured speed is undefined at the horizon; "
+                            "linear-audit needs a graded grid")
     m = scn.manufactured
     basis = scn.build_basis()
     grid = scn.build_grid()
@@ -301,31 +304,15 @@ def cmd_linear_audit(scn: Scenario, out: Path, workers: int) -> int:
             "name": scn.name,
             "command": "linear-audit",
             "passed": passed,
-            "admissibility": {
-                "passed": admissibility.passed,
-                "worst_lower_margin": admissibility.worst_lower_margin,
-                "worst_upper_margin": admissibility.worst_upper_margin,
-                "worst_slope_margin": admissibility.worst_slope_margin,
-            },
-            "energy_bound": {
-                "passed": bound.passed,
-                "worst_ratio": bound.worst_ratio,
-                "worst_time": bound.worst_time,
-                "constant": bound.constant,
-                "eta": bound.eta,
-                "eta_prime": bound.eta_prime,
-                "threshold": bound.threshold,
-                "data_norm_sq": bound.data_norm_sq,
-            },
+            "admissibility": _fields(admissibility, "passed", "worst_lower_margin",
+                                     "worst_upper_margin", "worst_slope_margin"),
+            "energy_bound": _fields(bound, "passed", "worst_ratio", "worst_time", "constant",
+                                    "eta", "eta_prime", "threshold", "data_norm_sq"),
             "monotonicity_rtol": mono_rtol,
             "quadrature_tol": quad_tol,
             "modes": modes,
             "constants": {
-                "q": cls.q,
-                "M": cls.M,
-                "K0": cls.K0,
-                "m0": cls.m0,
-                "T": cls.T,
+                **_fields(cls, "q", "M", "K0", "m0", "T"),
                 "s": scn.gevrey.s,
                 "sigma": scn.sigma,
             },

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RangeOverflowError
 from .spectral import _readonly
 
 # Rows formatted per block: column-wise formatting is fast, and blocks keep
@@ -70,7 +71,7 @@ class AdmissibleClass:
     def slope_envelope(self, t) -> np.ndarray:
         """K0/(T - t)^q; +inf at t = T, identically zero when K0 = 0."""
         dt = self.T - np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             env = self.K0 / dt**self.q
         if self.K0 == 0.0:
             return np.where(dt > 0.0, env, 0.0)
@@ -107,28 +108,27 @@ class CoefficientPath:
         t = np.asarray(times, dtype=float)
         return cls(t, np.full(t.shape, float(value)))
 
+    def _check_domain(self, ts) -> None:
+        slack = 1e-12 * max(1.0, self.end_time)
+        if np.any(ts < -slack) or np.any(ts > self.end_time + slack):
+            raise ValueError(f"evaluation time outside path domain [0, {self.end_time}]")
+
     def evaluate(self, t):
         """Linear interpolation; raises outside [0, t_end]."""
         ts = np.asarray(t, dtype=float)
-        slack = 1e-12 * max(1.0, self.end_time)
-        if np.any(ts < -slack) or np.any(ts > self.end_time + slack):
-            raise ValueError(
-                f"evaluation time outside path domain [0, {self.end_time}]"
-            )
+        self._check_domain(ts)
         out = np.interp(np.clip(ts, 0.0, self.end_time), self.times, self.values)
         return float(out) if np.isscalar(t) or ts.ndim == 0 else out
 
     def interval_slopes(self) -> np.ndarray:
-        return np.diff(self.values) / np.diff(self.times)
+        """Difference quotients; +inf where one exceeds the double range."""
+        with np.errstate(over="ignore"):
+            return np.diff(self.values) / np.diff(self.times)
 
     def slope(self, t: float) -> float:
         """Piecewise slope at t, taking the left limit at sample points."""
         ts = float(t)
-        slack = 1e-12 * max(1.0, self.end_time)
-        if ts < -slack or ts > self.end_time + slack:
-            raise ValueError(
-                f"evaluation time outside path domain [0, {self.end_time}]"
-            )
+        self._check_domain(ts)
         idx = int(np.searchsorted(self.times, ts, side="left"))
         j = min(max(idx - 1, 0), self.times.size - 2)
         return float(
@@ -183,7 +183,8 @@ def check_admissibility(
 
     slopes = np.abs(path.interval_slopes())
     envelope = cls.slope_envelope(path.times[1:])
-    margins = envelope + tol - slopes
+    with np.errstate(invalid="ignore"):  # inf - inf: a nan margin, which fails
+        margins = envelope + tol - slopes
     worst = int(np.argmin(margins))
     slope_margin = float(margins[worst])
     slope_ok = slope_margin >= 0.0
@@ -284,7 +285,11 @@ class OscillatingSpeed:
 
     def sample(self, times) -> CoefficientPath:
         t = np.asarray(times, dtype=float)
-        return CoefficientPath(t, np.asarray(self(t), dtype=float))
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = np.asarray(self(t), dtype=float)
+        if not np.all(np.isfinite(c)):
+            raise RangeOverflowError("manufactured speed leaves the double range on the grid")
+        return CoefficientPath(t, c)
 
 
 def uniform_grid(horizon: float, steps: int) -> np.ndarray:

@@ -26,8 +26,9 @@ from .spectral import (
     SpectralState,
     Trajectory,
     _LOG_MAX,
+    _data_norm_sq,
+    _in_range,
     _readonly,
-    gevrey_norm,
     same_basis,
 )
 
@@ -230,12 +231,6 @@ def _freeze_time(mu: float, cls: AdmissibleClass, s: float):
     return False, cls.T - mu ** (-p)
 
 
-def _end_value(coeff: CoefficientPath, cls: AdmissibleClass) -> float:
-    # Horizon value of the speed; sampled paths may stop short of T, in which
-    # case the final sample stands in for c(T).
-    return float(coeff.values[-1]) if coeff.end_time < cls.T else coeff.evaluate(cls.T)
-
-
 def _regularized_speeds(
     coeff: CoefficientPath, times: np.ndarray, mu: float, cls: AdmissibleClass, s: float
 ) -> np.ndarray:
@@ -246,8 +241,9 @@ def _regularized_speeds(
     Only times up to the freeze time are evaluated on the path.
     """
     low, t_f = _freeze_time(mu, cls, s)
-    if low:
-        return np.full(times.shape, _end_value(coeff, cls))
+    if low:  # a path that stops short of T has its final sample stand in for c(T)
+        end = float(coeff.values[-1]) if coeff.end_time < cls.T else coeff.evaluate(cls.T)
+        return np.full(times.shape, end)
     out = np.full(times.shape, coeff.evaluate(min(t_f, coeff.end_time)))
     follow = times <= t_f
     out[follow] = coeff.evaluate(times[follow])
@@ -272,15 +268,11 @@ def decay_rate(
     survives; where it follows the speed only the slope term does.  The slope
     is the path's piecewise value (left limit at sample points).
     """
-    if t < 0.0 or t > cls.T * (1.0 + 1e-12):
-        raise ValueError(f"time {t} outside [0, {cls.T}]")
+    c_reg = regularized_speed(coeff, t, mu, cls, s)
     low, t_f = _freeze_time(mu, cls, s)
-    gamma = 2.0 * cls.M / cls.m0
-    if low:
-        return gamma * abs(_end_value(coeff, cls) - coeff.evaluate(t)) * mu
-    if t <= t_f:
-        return 2.0 * abs(coeff.slope(t)) / coeff.evaluate(t)
-    return gamma * abs(coeff.evaluate(t_f) - coeff.evaluate(t)) * mu
+    if not low and t <= t_f:
+        return 2.0 * abs(coeff.slope(t)) / c_reg
+    return 2.0 * cls.M / cls.m0 * abs(c_reg - coeff.evaluate(t)) * mu
 
 
 def decay_integral_bound(mu: float, cls: AdmissibleClass, s: float) -> float:
@@ -380,13 +372,9 @@ def approximate_energy(
 
 def radius_loss(cls: AdmissibleClass) -> float:
     """Radius the energy estimate consumes: 2*K0/(m0*(q-1)) + 4*M^2/m0."""
-    try:
-        loss = 2.0 * cls.K0 / (cls.m0 * (cls.q - 1.0)) + 4.0 * cls.M**2 / cls.m0
-    except OverflowError:
-        loss = math.inf
-    if math.isinf(loss):
-        raise RangeOverflowError("radius loss overflows double range")
-    return loss
+    return _in_range(
+        lambda: 2.0 * cls.K0 / (cls.m0 * (cls.q - 1.0)) + 4.0 * cls.M**2 / cls.m0, "radius loss"
+    )
 
 
 def eta_prime(gp: GevreyParams, cls: AdmissibleClass) -> float:
@@ -441,20 +429,13 @@ def verify_energy_bound(problem: LinearProblem, traj: Trajectory) -> EnergyBound
         )
 
     sigma = problem.sigma
-    try:
-        const = max(cls.M**2, 1.0) * math.exp(
-            4.0 * cls.M**2 / cls.m0 * max(1.0, cls.T ** (1.0 - (cls.q * s - s)))
-        )
-    except OverflowError:
-        const = math.inf
-    if math.isinf(const):
-        raise RangeOverflowError("energy-bound constant overflows double range")
-    u0 = problem.initial.position
-    u1 = problem.initial.velocity
-    data_sq = (
-        gevrey_norm(u0, problem.basis, gp, sigma) ** 2
-        + gevrey_norm(u1, problem.basis, gp, sigma - 1.0) ** 2
+    const = _in_range(
+        lambda: max(cls.M**2, 1.0)
+        * math.exp(4.0 * cls.M**2 / cls.m0 * max(1.0, cls.T ** (1.0 - (cls.q * s - s)))),
+        "energy-bound constant",
     )
+    init = problem.initial
+    data_sq = _data_norm_sq(init.position, init.velocity, problem.basis, gp, sigma, "data norm")
 
     with np.errstate(over="raise"):
         try:

@@ -23,6 +23,7 @@ from .spectral import (
     ModeBasis,
     SpectralState,
     Trajectory,
+    _D_OVERFLOW,
     dirichlet_energy,
     hamiltonian,
     same_basis,
@@ -105,14 +106,16 @@ def fixed_point_solve(
     hypotheses produce, and stops when one application moves the speed by less
     than ``tol`` in sup norm.  Non-convergence is reported, not raised: plain
     successive substitution is not guaranteed to converge even when a fixed
-    point exists.
+    point exists.  A D(0) beyond the double range raises :class:`RangeOverflowError`.
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("need at least one iteration")
-    c0 = math.sqrt(1.0 + dirichlet_energy(run.initial))
-    coeff = CoefficientPath.constant(c0, run.grid)
+    d0 = dirichlet_energy(run.initial)
+    if not math.isfinite(d0):
+        raise RangeOverflowError(_D_OVERFLOW)
+    coeff = CoefficientPath.constant(math.sqrt(1.0 + d0), run.grid)
     distances: list[float] = []
     for _ in range(max_iter):
         traj = None  # release the previous iterate before the next solve allocates
@@ -208,7 +211,10 @@ def check_induced_speed(
     base = check_admissibility(coeff_out, cls, tol=tol)
 
     slopes = np.abs(coeff_out.interval_slopes())
-    uniform_bound = K0 / T**q
+    try:
+        uniform_bound = K0 / T**q
+    except ZeroDivisionError:
+        raise RangeOverflowError(f"horizon power T^q = {T}^{q} underflows to 0") from None
     uniform_margin = float(np.min(uniform_bound + tol - slopes))
     uniform_ok = uniform_margin >= 0.0
 

@@ -72,14 +72,18 @@ class Scenario:
         return SpectralState(basis, self.position, self.velocity)
 
     def build_grid(self) -> np.ndarray:
-        if self.grading_ratio is None:
-            return uniform_grid(self.horizon, self.grid_steps)
-        return graded_grid(
-            self.horizon,
-            base_step=self.horizon / self.grid_steps,
-            grading_ratio=self.grading_ratio,
-            end_gap=self.end_gap,
-        )
+        if self.grading_ratio is not None:  # strictly increasing by construction
+            return graded_grid(
+                self.horizon,
+                base_step=self.horizon / self.grid_steps,
+                grading_ratio=self.grading_ratio,
+                end_gap=self.end_gap,
+            )
+        grid = uniform_grid(self.horizon, self.grid_steps)
+        if np.any(np.diff(grid) <= 0.0):
+            raise ScenarioError(f"{self.name}: grid.steps = {self.grid_steps} is finer than "
+                                f"horizon = {self.horizon} can resolve")
+        return grid
 
     def build_speed(self) -> OscillatingSpeed:
         if self.manufactured is None:
@@ -289,6 +293,8 @@ def parse_scenario(doc, source: str = "scenario") -> Scenario:
             m0=_number(man.get("m0", 1.0), f"{mp}.m0", lo=0.0, strict_lo=True),
             M=_number(_require(man, "M", mp), f"{mp}.M", lo=0.0, strict_lo=True),
         )
+        if manufactured.m0 > manufactured.M:
+            _fail(f"{mp}.m0", f"must be <= M = {manufactured.M}, got {manufactured.m0}")
 
     return Scenario(
         name=name,

@@ -17,6 +17,8 @@ from .errors import RangeOverflowError
 # Largest natural log whose exp is representable in a double.
 _LOG_MAX = math.log(np.finfo(float).max)
 
+_D_OVERFLOW = "Dirichlet energy, and so the induced speed, overflows"
+
 BASIS_KINDS = ("interval-dirichlet", "torus")
 
 # Samples per block of the norm series; bounds its (modes, samples) temporaries.
@@ -25,6 +27,17 @@ _NORM_CHUNK = 256
 # A scaled sum of squares below this, from a sample that is not all zero, may
 # have lost terms to underflow; its block falls back to the log-sum-exp.
 _SUM_MIN = 1e-200
+
+
+def _in_range(compute, what: str) -> float:
+    """``compute()``; :class:`RangeOverflowError` if it overflows, divides by zero or is inf."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if math.isinf(value):
+        raise RangeOverflowError(f"{what} overflows double range")
+    return value
 
 
 def _readonly(a) -> np.ndarray:
@@ -175,6 +188,13 @@ def gevrey_norm(coeffs, basis: ModeBasis, gp: GevreyParams, sigma: float = 0.0) 
     return math.exp(0.5 * log_sq)
 
 
+def _data_norm_sq(u0, u1, basis: ModeBasis, gp: GevreyParams, sigma: float, what: str) -> float:
+    """|u0|^2 at order ``sigma`` plus |u1|^2 at order ``sigma - 1``, in range (see _in_range)."""
+    p = gevrey_norm(u0, basis, gp, sigma)
+    v = gevrey_norm(u1, basis, gp, sigma - 1.0)
+    return _in_range(lambda: p**2 + v**2, what)
+
+
 @np.errstate(over="ignore")
 def dirichlet_energy(state: SpectralState) -> float:
     """Squared gradient norm sum_k lambda_k v_k^2 (inf, without a warning, on overflow)."""
@@ -258,7 +278,7 @@ class Trajectory:
             with np.errstate(over="ignore"):
                 d = self.basis.eigenvalues @ (self.position * self.position)
             if not np.all(np.isfinite(d)):
-                raise RangeOverflowError("Dirichlet energy, and so the induced speed, overflows")
+                raise RangeOverflowError(_D_OVERFLOW)
             d.setflags(write=False)
             object.__setattr__(self, "_dirichlet", d)
         return d

@@ -427,6 +427,27 @@ class TestCertifiedSparseData:
         scale = np.max(np.abs(oracle.position))
         assert np.max(np.abs(fp.final_solution.position - oracle.position)) <= 1e-6 * scale
 
+    @settings(max_examples=100, deadline=None)
+    @given(certified_sparse_runs())
+    def test_oracle_conserves_the_hamiltonian(self, run):
+        # within 1e-6 of RK4's own loss: a step multiplies each mode's energy by
+        # |R(ix)|^2 = 1 - x^6/72 + x^8/576, x = c*mu*dt, which is 1 - 2.2e-4 at the guard
+        ham = direct_oracle(run).hamiltonian_series()
+        x = run.speed_ceiling() * run.basis.frequencies[-1] * np.max(np.diff(run.grid))
+        loss = 1.0 - (1.0 - x**6 / 72.0 + x**8 / 576.0) ** (run.grid.size - 1)
+        assert np.max(np.abs(ham - ham[0])) <= (loss + 1e-6) * ham[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(certified_sparse_runs())
+    def test_induced_speed_stays_in_its_bounds(self, run):
+        coeff = fixed_point_solve(run, tol=1e-10, max_iter=30).final_coeff
+        assert np.all(coeff.values >= 1.0) and np.all(coeff.values <= run.speed_ceiling())
+        init, gp = run.initial, run.gevrey
+        cert = check_hypotheses(init.position, init.velocity, run.basis, gp.s, gp.eta, run.horizon)
+        assert cert.passed
+        image = check_induced_speed(coeff, M=cert.M, K0=cert.K0, q=cert.q, T=run.horizon)
+        assert image.passed, image.failures
+
 
 class TestPerturbationProbe:
     def test_zero_delta_zero_energy(self):

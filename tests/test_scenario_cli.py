@@ -1,14 +1,20 @@
 """Strict scenario parsing, CLI exit codes and output determinism."""
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kirchhofflab
 from kirchhofflab import ScenarioError
@@ -24,6 +30,7 @@ from kirchhofflab.cli import (
     main,
 )
 from kirchhofflab.scenario import (
+    COMMANDS,
     MAX_AUDIT_ROWS,
     MAX_ITER,
     MAX_ITER_MODE_SAMPLES,
@@ -35,7 +42,7 @@ from kirchhofflab.scenario import (
     parse_scenario,
 )
 
-from conftest import scenario_path
+from conftest import SCENARIO_DIR, scenario_path
 
 
 def minimal_doc(**overrides):
@@ -93,6 +100,29 @@ def run_cli(tmp_path, command, cfg, *flags, out=None, env=None):
         text=True,
         timeout=120,
     )
+
+
+def run_in_process(command, cfg, out, seconds=60):
+    """Run ``main`` in this process; returns (exit code, stdout, stderr).
+
+    Warnings are errors, so a numpy warning escapes like any exception, and
+    SIGALRM bounds the run's time.
+    """
+    def timed_out(*_):
+        raise TimeoutError(f"{command} on {cfg} ran longer than {seconds} s")
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(seconds)
+    try:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(cfg), "--out-dir", str(out)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 class TestScenarioParsing:
@@ -459,6 +489,88 @@ class TestCliExitCodes:
             main(["fixedpoint", "--config", str(scenario_path("certified-tiny")), "--out-dir", str(tmp_path)])
             == EXIT_USAGE
         )
+
+
+# Inputs that each ended in a traceback or a numpy warning: one per kind of escape.
+ESCAPES = [
+    pytest.param("fixedpoint", "two-mode", {"initial.position": [1e300]}, EXIT_AUDIT_FAILED,
+                 "Dirichlet", id="initial-dirichlet-energy-overflows"),
+    pytest.param("fixedpoint", "two-mode", {"horizon": 1e-300}, EXIT_AUDIT_FAILED, "T^q",
+                 id="horizon-power-underflows"),
+    pytest.param("linear-audit", "linear-audit", {"options.manufactured.m0": 5e-324},
+                 EXIT_AUDIT_FAILED, "radius loss", id="radius-loss-divisor-underflows"),
+    pytest.param("linear-audit", "linear-audit", {"initial.family.amplitude": 1e300},
+                 EXIT_AUDIT_FAILED, "data norm", id="data-norm-overflows"),
+    pytest.param("linear-audit", "linear-audit", {"options.manufactured.q": 2.0**40},
+                 EXIT_AUDIT_FAILED, "manufactured speed", id="manufactured-phase-overflows"),
+    pytest.param("linear-audit", "linear-audit", {"options.manufactured.amplitude": 1e300},
+                 EXIT_AUDIT_FAILED, "grid too coarse", id="slope-overflow-warning"),
+    pytest.param("fixedpoint", "conservation-n32", {"initial.family.amplitude": 1.5}, EXIT_OK,
+                 "", id="envelope-overflow-warning"),
+    pytest.param("simulate", "two-mode", {"horizon": 5e-324}, EXIT_USAGE, "grid.steps = 2000",
+                 id="grid-finer-than-horizon"),
+    pytest.param("linear-audit", "linear-audit", {"options.manufactured.m0": 1.5}, EXIT_USAGE,
+                 "<= M", id="m0-above-M"),
+    pytest.param("linear-audit", "linear-audit", {"grid.grading_ratio": None}, EXIT_USAGE,
+                 "graded grid", id="audit-on-uniform-grid"),
+]
+
+# Replacement values of the CLI fuzz: the double range's edges, huge ints, wrong types.
+FUZZ_VALUES = [0, -1, 1e300, -1e300, 1e-300, 5e-324, 2**40, 1.5, "x", None, True]
+SHIPPED = sorted(p.stem for p in SCENARIO_DIR.glob("*.json"))
+
+
+def _paths(node, path=()):
+    """(path, is_number) of every list entry and object value under ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,), isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario with one number replaced by a fuzz value, or one key dropped."""
+    doc = json.loads(scenario_path(draw(st.sampled_from(SHIPPED))).read_text())
+    paths = list(_paths(doc))
+    keys = [p for p, _ in paths if isinstance(p[-1], str)]
+    numbers = [p for p, is_number in paths if is_number]
+    drop = draw(st.booleans())
+    *parents, last = draw(st.sampled_from(keys if drop else numbers))
+    node = doc
+    for part in parents:
+        node = node[part]
+    if drop:
+        del node[last]
+    else:
+        node[last] = draw(st.sampled_from(FUZZ_VALUES))
+    return doc
+
+
+class TestMutatedScenarios:
+    @pytest.mark.parametrize("command, name, changes, expected, message", ESCAPES)
+    def test_escapes_end_in_one_line(self, tmp_path, command, name, changes, expected, message):
+        cfg = mutated_copy(tmp_path, name, changes)
+        code, _, err = run_in_process(command, cfg, tmp_path / "out")
+        assert code == expected, err
+        if expected == EXIT_OK:
+            assert err == ""
+        else:
+            prefix = "numerical failure: " if expected == EXIT_AUDIT_FAILED else "scenario error: "
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(prefix) and message in lines[0], err
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=mutated_scenarios(), command=st.sampled_from(list(COMMANDS)))
+    def test_every_mutation_ends_in_a_documented_exit(self, doc, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "scn.json"
+            cfg.write_text(json.dumps(doc))
+            code, _, err = run_in_process(command, cfg, Path(tmp) / "out")
+        assert code in (EXIT_OK, EXIT_HYPOTHESIS, EXIT_NO_CONVERGENCE, EXIT_AUDIT_FAILED,
+                        EXIT_USAGE), err
+        assert len(err.splitlines()) <= 1, err
 
 
 class TestDeterminism:
