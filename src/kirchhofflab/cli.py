@@ -1,9 +1,9 @@
 """Scenario-driven command-line front end.
 
 Subcommands: simulate, fixedpoint, linear-audit, certify, norms.  Each takes a
-scenario JSON file, runs the corresponding solver or audit, writes CSV series
-plus a JSON report into the output directory, and encodes the outcome in the
-exit status:
+scenario JSON file and runs the corresponding solver or audit without writing
+anything; ``main`` then writes its CSV series and JSON report into the output
+directory and encodes the outcome in the exit status:
 
     0   success
     2   hypothesis unmet (certificate or audit precondition failed)
@@ -11,12 +11,14 @@ exit status:
     4   numerical audit failed or solver guard tripped
     64  usage or scenario parse error, or an artefact that cannot be written
 
-Outputs are deterministic: no timestamps, floats rendered with shortest
-round-trip decimals, one serial mode sweep.  ``--workers`` (or
-KIRCHHOFFLAB_WORKERS; default the CPU count) is the number of processes that
-write linear-audit's mode CSVs, capped at the usable CPUs, at MAX_WORKERS and
-at the number of files; it is 1 where ``os.fork`` does not exist.  A value
-that is not a positive integer exits 64.  The bytes written do not depend on it.
+A run that fails before the write phase writes nothing, and a CSV that cannot
+be written leaves none of the run's CSVs.  Outputs are deterministic: no
+timestamps, floats rendered with shortest round-trip decimals, one serial mode
+sweep.  ``--workers`` (or KIRCHHOFFLAB_WORKERS; default the CPU count) is the
+number of processes that write linear-audit's mode CSVs, capped at the usable
+CPUs, at MAX_WORKERS and at the number of files; it is 1 where ``os.fork`` does
+not exist.  A value that is not a positive integer exits 64.  The bytes
+written do not depend on it.
 """
 from __future__ import annotations
 
@@ -87,12 +89,6 @@ def _fields(report, *names) -> dict:
     return {name: getattr(report, name) for name in names}
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(_jsonable(payload), f, indent=2)
-        f.write("\n")
-
-
 def _scenario_certificate(scn: Scenario):
     basis = scn.build_basis()
     return cert.check_hypotheses(
@@ -114,25 +110,21 @@ def _build_run(scn: Scenario) -> KirchhoffRun:
     return KirchhoffRun(basis, scn.build_initial(basis), scn.horizon, scn.gevrey, scn.build_grid())
 
 
-def _write_trajectory(out: Path, scn: Scenario, traj, certificate: cert.Certificate) -> dict:
+def _trajectory(scn: Scenario, traj, certificate: cert.Certificate) -> tuple[tuple, dict]:
+    """The trajectory CSV job and the report fields that describe it."""
     # Norm columns use the leftover radius eta' when it is positive.
     if certificate.eta_prime > 0.0:
         gp, which = GevreyParams(scn.gevrey.s, certificate.eta_prime), "eta_prime"
     else:
         gp, which = scn.gevrey, "eta"
     ham = traj.hamiltonian_series()
-    speed = traj.induced_speed_series()
-    norms = traj.state_gevrey_series(gp)
-    path = out / f"{scn.name}-trajectory.csv"
-    _write_csv(
-        path,
-        ["t", "hamiltonian", "induced_speed", "state_gevrey_norm"],
-        [traj.times, ham, speed, norms],
-    )
+    name = f"{scn.name}-trajectory.csv"
+    job = (name, ["t", "hamiltonian", "induced_speed", "state_gevrey_norm"],
+           [traj.times, ham, traj.induced_speed_series(), traj.state_gevrey_series(gp)])
     h0 = float(ham[0])
     drift = float(np.max(np.abs(ham - h0)) / max(h0, 1e-30))
-    return {
-        "trajectory_csv": path.name,
+    return job, {
+        "trajectory_csv": name,
         "H0": h0,
         "relative_hamiltonian_drift": drift,
         "norm_radius_used": which,
@@ -140,35 +132,27 @@ def _write_trajectory(out: Path, scn: Scenario, traj, certificate: cert.Certific
     }
 
 
-def cmd_simulate(scn: Scenario, out: Path) -> int:
+def cmd_simulate(scn: Scenario) -> tuple:
     traj = direct_oracle(_build_run(scn))
-    info = _write_trajectory(out, scn, traj, _scenario_certificate(scn))
-    info["name"] = scn.name
-    info["command"] = "simulate"
-    _write_json(out / f"{scn.name}-report.json", info)
-    return EXIT_OK
+    job, info = _trajectory(scn, traj, _scenario_certificate(scn))
+    info.update(name=scn.name, command="simulate")
+    return [job], f"{scn.name}-report.json", info, EXIT_OK, None
 
 
-def cmd_fixedpoint(scn: Scenario, out: Path, tol: float | None) -> int:
+def cmd_fixedpoint(scn: Scenario, tol: float | None) -> tuple:
     use_tol = scn.tol if tol is None else check_tol(tol, "--tol")
     report = fixed_point_solve(_build_run(scn), tol=use_tol, max_iter=scn.max_iter)
-
-    _write_csv(
-        out / f"{scn.name}-distances.csv",
-        ["iteration", "distance"],
-        [np.arange(1, report.iterations + 1), np.array(report.distances)],
-    )
-    report.final_coeff.to_csv(out / f"{scn.name}-coefficient.csv")
+    coeff = report.final_coeff
     certificate = _scenario_certificate(scn)
-    info = _write_trajectory(out, scn, report.final_solution, certificate)
-    image = check_induced_speed(
-        report.final_coeff,
-        M=certificate.M,
-        K0=certificate.K0,
-        q=certificate.q,
-        T=scn.horizon,
-        tol=1e-8,
-    )
+    job, info = _trajectory(scn, report.final_solution, certificate)
+    image = check_induced_speed(coeff, M=certificate.M, K0=certificate.K0, q=certificate.q,
+                                T=scn.horizon, tol=1e-8)
+    jobs = [
+        (f"{scn.name}-distances.csv", ["iteration", "distance"],
+         [np.arange(1, report.iterations + 1), np.array(report.distances)]),
+        (f"{scn.name}-coefficient.csv", ["t", "c"], [coeff.times, coeff.values]),
+        job,
+    ]
     info.update(
         {
             "name": scn.name,
@@ -183,15 +167,15 @@ def cmd_fixedpoint(scn: Scenario, out: Path, tol: float | None) -> int:
                                    "worst_uniform_margin"),
         }
     )
-    _write_json(out / f"{scn.name}-report.json", info)
     if not report.converged:
-        print(f"{scn.name}: fixed point did not converge in {report.iterations} iterations")
-        return EXIT_NO_CONVERGENCE
-    if not image.passed:
-        print(f"{scn.name}: induced-speed bounds failed: {'; '.join(image.failures)}")
-        return EXIT_AUDIT_FAILED
-    print(f"{scn.name}: converged in {report.iterations} iterations")
-    return EXIT_OK
+        code = EXIT_NO_CONVERGENCE
+        message = f"{scn.name}: fixed point did not converge in {report.iterations} iterations"
+    elif not image.passed:
+        code = EXIT_AUDIT_FAILED
+        message = f"{scn.name}: induced-speed bounds failed: {'; '.join(image.failures)}"
+    else:
+        code, message = EXIT_OK, f"{scn.name}: converged in {report.iterations} iterations"
+    return jobs, f"{scn.name}-report.json", info, code, message
 
 
 def _write_csvs(jobs: list[tuple], workers: int) -> None:
@@ -203,7 +187,7 @@ def _write_csvs(jobs: list[tuple], workers: int) -> None:
     then the children's in rank order.  Before it raises, every job's file is
     removed, so a failure leaves the same files at every worker count.
     """
-    workers = min(workers, len(jobs))
+    workers = min(workers, len(jobs)) or 1  # no jobs: nothing to split
     children, errors = [], []
     try:
         for rank in range(1, workers):
@@ -241,7 +225,7 @@ def _write_csvs(jobs: list[tuple], workers: int) -> None:
         raise ScenarioError(errors[0])
 
 
-def cmd_linear_audit(scn: Scenario, out: Path, workers: int) -> int:
+def cmd_linear_audit(scn: Scenario) -> tuple:
     if scn.manufactured is None:
         raise ScenarioError(f"{scn.name}: linear-audit requires options.manufactured")
     if scn.grading_ratio is None:
@@ -282,7 +266,7 @@ def cmd_linear_audit(scn: Scenario, out: Path, workers: int) -> int:
         bound_k = decay_integral_bound(mt.mu, cls, scn.gevrey.s)
         ok = worst_uptick <= mono_rtol and integral <= bound_k + quad_tol
         all_ok = all_ok and ok
-        jobs.append((out / f"{scn.name}-mode{k + 1}.csv", ["t", "v", "vdot", "E"],
+        jobs.append((f"{scn.name}-mode{k + 1}.csv", ["t", "v", "vdot", "E"],
                      [t_cells, mt.v, mt.vdot, energy]))
         modes.append(
             {
@@ -295,47 +279,38 @@ def cmd_linear_audit(scn: Scenario, out: Path, workers: int) -> int:
             }
         )
 
-    _write_csvs(jobs, workers)
-
     passed = bool(admissibility.passed and bound.passed and all_ok)
-    _write_json(
-        out / f"{scn.name}-audit.json",
-        {
-            "name": scn.name,
-            "command": "linear-audit",
-            "passed": passed,
-            "admissibility": _fields(admissibility, "passed", "worst_lower_margin",
-                                     "worst_upper_margin", "worst_slope_margin"),
-            "energy_bound": _fields(bound, "passed", "worst_ratio", "worst_time", "constant",
-                                    "eta", "eta_prime", "threshold", "data_norm_sq"),
-            "monotonicity_rtol": mono_rtol,
-            "quadrature_tol": quad_tol,
-            "modes": modes,
-            "constants": {
-                **_fields(cls, "q", "M", "K0", "m0", "T"),
-                "s": scn.gevrey.s,
-                "sigma": scn.sigma,
-            },
+    audit = {
+        "name": scn.name,
+        "command": "linear-audit",
+        "passed": passed,
+        "admissibility": _fields(admissibility, "passed", "worst_lower_margin",
+                                 "worst_upper_margin", "worst_slope_margin"),
+        "energy_bound": _fields(bound, "passed", "worst_ratio", "worst_time", "constant",
+                                "eta", "eta_prime", "threshold", "data_norm_sq"),
+        "monotonicity_rtol": mono_rtol,
+        "quadrature_tol": quad_tol,
+        "modes": modes,
+        "constants": {
+            **_fields(cls, "q", "M", "K0", "m0", "T"),
+            "s": scn.gevrey.s,
+            "sigma": scn.sigma,
         },
-    )
-    if not passed:
-        print(f"{scn.name}: linear audit failed (worst ratio {bound.worst_ratio!r})")
-        return EXIT_AUDIT_FAILED
-    print(f"{scn.name}: linear audit passed (worst ratio {bound.worst_ratio!r})")
-    return EXIT_OK
+    }
+    code = EXIT_OK if passed else EXIT_AUDIT_FAILED
+    verdict = "passed" if passed else "failed"
+    message = f"{scn.name}: linear audit {verdict} (worst ratio {bound.worst_ratio!r})"
+    return jobs, f"{scn.name}-audit.json", audit, code, message
 
 
-def cmd_certify(scn: Scenario, out: Path) -> int:
+def cmd_certify(scn: Scenario) -> tuple:
     certificate = _scenario_certificate(scn)
-    _write_json(
-        out / f"{scn.name}-certificate.json",
-        {"name": scn.name, "command": "certify", **certificate.as_dict()},
-    )
-    print(certificate.machine_verdict())
-    return EXIT_OK if certificate.passed else EXIT_HYPOTHESIS
+    payload = {"name": scn.name, "command": "certify", **certificate.as_dict()}
+    code = EXIT_OK if certificate.passed else EXIT_HYPOTHESIS
+    return [], f"{scn.name}-certificate.json", payload, code, certificate.machine_verdict()
 
 
-def cmd_norms(scn: Scenario) -> int:
+def cmd_norms(scn: Scenario) -> tuple:
     basis = scn.build_basis()
     state = scn.build_initial(basis)
     gp = scn.gevrey
@@ -352,9 +327,8 @@ def cmd_norms(scn: Scenario) -> int:
         ("hamiltonian", hamiltonian(state)),
         ("data_radius", cert.data_radius(state.position, state.velocity, basis, gp)),
     ]
-    for key, value in rows:
-        print(f"{key} = {float(value)!r}")
-    return EXIT_OK
+    message = "\n".join(f"{key} = {float(value)!r}" for key, value in rows)
+    return [], None, None, EXIT_OK, message
 
 
 def _resolve_workers(flag: str | None) -> int:
@@ -404,14 +378,26 @@ def main(argv=None) -> int:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if args.subcommand == "simulate":
-            return cmd_simulate(scn, out)
-        if args.subcommand == "fixedpoint":
-            return cmd_fixedpoint(scn, out, args.tol)
-        if args.subcommand == "linear-audit":
-            return cmd_linear_audit(scn, out, workers)
-        if args.subcommand == "certify":
-            return cmd_certify(scn, out)
-        return cmd_norms(scn)
+            result = cmd_simulate(scn)
+        elif args.subcommand == "fixedpoint":
+            result = cmd_fixedpoint(scn, args.tol)
+        elif args.subcommand == "linear-audit":
+            result = cmd_linear_audit(scn)
+        elif args.subcommand == "certify":
+            result = cmd_certify(scn)
+        else:
+            result = cmd_norms(scn)
+        jobs, report, payload, code, message = result
+        # Only linear-audit's one CSV per mode repays a fork; the other commands' few do not.
+        _write_csvs([(out / name, header, columns) for name, header, columns in jobs],
+                    workers if args.subcommand == "linear-audit" else 1)
+        if report is not None:
+            with open(out / report, "w", encoding="utf-8") as f:
+                json.dump(_jsonable(payload), f, indent=2)
+                f.write("\n")
+        if message is not None:
+            print(message)
+        return code
     except (ScenarioError, OSError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_USAGE

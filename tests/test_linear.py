@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from kirchhofflab import (
@@ -423,6 +423,23 @@ class TestApproximateEnergy:
         cls = audit_class()
         mt = solve_mode(coeff, 64.0, 1.0, 0.0, coeff.times)
         E = approximate_energy(mt, coeff, cls, GevreyParams(S, 8.16), sigma=1.0)
+        upticks = np.diff(E) / np.maximum(E[:-1], 1e-300)
+        assert float(np.max(upticks)) <= 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=st.floats(1.05, 1.95), amplitude=st.floats(0.0, 0.3), offset=st.floats(1.0, 3.0),
+           s=st.floats(1.1, 4.0), mu=st.integers(1, 64), steps=st.integers(200, 2000),
+           v0=st.floats(-1.0, 1.0), v1=st.floats(-1.0, 1.0))
+    def test_weighted_energy_never_rises(self, q, amplitude, offset, s, mu, steps, v0, v1):
+        # the energy estimate's monotone weighted energy, at the CLI's uptick tolerance
+        speed = OscillatingSpeed(q=q, T=1.0, amplitude=amplitude, offset=offset)
+        cls = AdmissibleClass(q, speed.value_max, amplitude, 1.0, speed.value_min)
+        coeff = speed.sample(graded_grid(1.0, 1.0 / steps, 0.9))
+        try:
+            mt = solve_mode(coeff, float(mu) ** 2, v0, v1, coeff.times)
+        except StabilityError:
+            reject()
+        E = approximate_energy(mt, coeff, cls, GevreyParams(s, 1.0), sigma=1.0)
         upticks = np.diff(E) / np.maximum(E[:-1], 1e-300)
         assert float(np.max(upticks)) <= 1e-6
 

@@ -25,10 +25,12 @@ from kirchhofflab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     MAX_WORKERS,
+    _build_run,
     _resolve_workers,
     _write_csvs,
     main,
 )
+from kirchhofflab.nonlinear import fixed_point_solve
 from kirchhofflab.scenario import (
     COMMANDS,
     MAX_AUDIT_ROWS,
@@ -478,6 +480,39 @@ class TestCliExitCodes:
             os.waitpid(-1, os.WNOHANG)
         assert list(tmp_path.iterdir()) == []  # the files written before the failure are gone
 
+    def test_no_jobs_write_nothing(self, tmp_path):
+        _write_csvs([], 2)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_after_the_solve_writes_nothing(self, tmp_path):
+        # the horizon power underflows in the certificate, after the fixed point is solved
+        cfg = mutated_copy(tmp_path, "two-mode", {"horizon": 1e-300})
+        code, out, err = run_in_process("fixedpoint", cfg, tmp_path / "out")
+        assert code == EXIT_AUDIT_FAILED, err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: "), err
+        assert out == ""
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_unwritable_fixedpoint_csv_leaves_no_csv(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "two-mode-trajectory.csv").mkdir(parents=True)
+        code, stdout, err = run_in_process("fixedpoint", scenario_path("two-mode"), out)
+        assert code == EXIT_USAGE, err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("scenario error: "), err
+        assert stdout == ""
+        assert [p.name for p in out.iterdir()] == ["two-mode-trajectory.csv"]
+
+    def test_coefficient_csv_matches_to_csv(self, tmp_path):
+        scn = load_scenario(scenario_path("two-mode"))
+        report = fixed_point_solve(_build_run(scn), tol=scn.tol, max_iter=scn.max_iter)
+        report.final_coeff.to_csv(tmp_path / "expected.csv")
+        assert main(["fixedpoint", "--config", str(scenario_path("two-mode")),
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        cli_csv = (tmp_path / "out" / "two-mode-coefficient.csv").read_bytes()
+        assert cli_csv == (tmp_path / "expected.csv").read_bytes()
+
     def test_workers_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KIRCHHOFFLAB_WORKERS", "2")
         code = main(
@@ -548,6 +583,34 @@ def mutated_scenarios(draw):
     return doc
 
 
+# Grading ratios for a uniform-grid scenario: typical, near 1, and the double range's bottom.
+GRADINGS = [0.5, 0.9, 0.999, 1e-300, 5e-324]
+UNIFORM = [name for name in SHIPPED
+           if "grading_ratio" not in json.loads(scenario_path(name).read_text())["grid"]]
+
+
+@st.composite
+def graded_scenarios(draw):
+    """A uniform-grid shipped scenario given a grading ratio, and maybe an end gap."""
+    doc = json.loads(scenario_path(draw(st.sampled_from(UNIFORM))).read_text())
+    doc["grid"]["grading_ratio"] = draw(st.sampled_from(GRADINGS))
+    end_gap = draw(st.none() | st.sampled_from([1e-9, 1e-3, 0.5, 1e-300, 5e-324]))
+    if end_gap is not None:
+        doc["grid"]["end_gap"] = end_gap
+    return doc
+
+
+def assert_documented_exit(doc, command):
+    """``command`` on scenario ``doc`` exits 0/2/3/4/64 with at most one stderr line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "scn.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_in_process(command, cfg, Path(tmp) / "out")
+    assert code in (EXIT_OK, EXIT_HYPOTHESIS, EXIT_NO_CONVERGENCE, EXIT_AUDIT_FAILED,
+                    EXIT_USAGE), err
+    assert len(err.splitlines()) <= 1, err
+
+
 class TestMutatedScenarios:
     @pytest.mark.parametrize("command, name, changes, expected, message", ESCAPES)
     def test_escapes_end_in_one_line(self, tmp_path, command, name, changes, expected, message):
@@ -564,13 +627,12 @@ class TestMutatedScenarios:
     @settings(max_examples=300, deadline=None)
     @given(doc=mutated_scenarios(), command=st.sampled_from(list(COMMANDS)))
     def test_every_mutation_ends_in_a_documented_exit(self, doc, command):
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = Path(tmp) / "scn.json"
-            cfg.write_text(json.dumps(doc))
-            code, _, err = run_in_process(command, cfg, Path(tmp) / "out")
-        assert code in (EXIT_OK, EXIT_HYPOTHESIS, EXIT_NO_CONVERGENCE, EXIT_AUDIT_FAILED,
-                        EXIT_USAGE), err
-        assert len(err.splitlines()) <= 1, err
+        assert_documented_exit(doc, command)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=graded_scenarios(), command=st.sampled_from(list(COMMANDS)))
+    def test_every_grading_ends_in_a_documented_exit(self, doc, command):
+        assert_documented_exit(doc, command)
 
 
 class TestDeterminism:
