@@ -78,64 +78,3 @@ from .certificate import (
 from .scenario import Scenario, load_scenario, parse_scenario
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdmissibilityReport",
-    "AdmissibleClass",
-    "Certificate",
-    "CoefficientPath",
-    "EnergyBoundReport",
-    "FixedPointReport",
-    "GevreyParams",
-    "HypothesisError",
-    "InducedSpeedReport",
-    "KirchhoffRun",
-    "LinearProblem",
-    "ModeBasis",
-    "ModeTrajectory",
-    "OscillatingSpeed",
-    "PerturbationReport",
-    "RangeOverflowError",
-    "Scenario",
-    "ScenarioError",
-    "SpectralState",
-    "StabilityError",
-    "Trajectory",
-    "Verdict",
-    "approximate_energy",
-    "check_admissibility",
-    "check_hypotheses",
-    "check_induced_speed",
-    "data_radius",
-    "decay_integral",
-    "decay_integral_bound",
-    "decay_rate",
-    "direct_oracle",
-    "dirichlet_energy",
-    "equicontinuity_gap",
-    "eta0",
-    "eta_prime",
-    "fixed_point_solve",
-    "gevrey_norm",
-    "graded_grid",
-    "hamiltonian",
-    "induced_slope_bound",
-    "induced_speed",
-    "k0_constant",
-    "load_scenario",
-    "mode_trajectory",
-    "parse_scenario",
-    "perturbation_probe",
-    "q_from_s",
-    "radius_loss",
-    "regularized_speed",
-    "same_basis",
-    "sobolev_norm",
-    "solve_linear",
-    "solve_mode",
-    "solve_modes",
-    "state_gevrey_norm",
-    "sup_distance",
-    "uniform_grid",
-    "verify_energy_bound",
-]

@@ -3,7 +3,7 @@
 Subcommands: simulate, fixedpoint, linear-audit, certify, norms.  Each takes a
 scenario JSON file and runs the corresponding solver or audit without writing
 anything; ``main`` then writes its CSV series and JSON report into the output
-directory and encodes the outcome in the exit status:
+directory in one write phase and encodes the outcome in the exit status:
 
     0   success
     2   hypothesis unmet (certificate or audit precondition failed)
@@ -11,14 +11,15 @@ directory and encodes the outcome in the exit status:
     4   numerical audit failed or solver guard tripped
     64  usage or scenario parse error, or an artefact that cannot be written
 
-A run that fails before the write phase writes nothing, and a CSV that cannot
-be written leaves none of the run's CSVs.  Outputs are deterministic: no
-timestamps, floats rendered with shortest round-trip decimals, one serial mode
-sweep.  ``--workers`` (or KIRCHHOFFLAB_WORKERS; default the CPU count) is the
-number of processes that write linear-audit's mode CSVs, capped at the usable
-CPUs, at MAX_WORKERS and at the number of files; it is 1 where ``os.fork`` does
-not exist.  A value that is not a positive integer exits 64.  The bytes
-written do not depend on it.
+A run that fails before the write phase writes nothing, and an artefact that
+cannot be written, the report included, leaves none of the run's artefacts.
+Outputs are deterministic: no timestamps, floats rendered with shortest
+round-trip decimals, one serial mode sweep.  ``--workers`` (or
+KIRCHHOFFLAB_WORKERS; default the CPU count) is the number of processes that
+write linear-audit's mode CSVs and report, capped at the usable CPUs, at
+MAX_WORKERS and at the number of files; it is 1 where ``os.fork`` does not
+exist.  A value that is not a positive integer exits 64.  The bytes written do
+not depend on it.
 """
 from __future__ import annotations
 
@@ -84,6 +85,11 @@ def _jsonable(obj):
     return obj
 
 
+def _report(name: str, payload: dict) -> tuple:
+    """The report artefact ``name``: no header, and the JSON text of ``payload``."""
+    return name, None, json.dumps(_jsonable(payload), indent=2) + "\n"
+
+
 def _fields(report, *names) -> dict:
     """The named attributes of ``report``, in order, as a dict for a JSON report."""
     return {name: getattr(report, name) for name in names}
@@ -136,7 +142,7 @@ def cmd_simulate(scn: Scenario) -> tuple:
     traj = direct_oracle(_build_run(scn))
     job, info = _trajectory(scn, traj, _scenario_certificate(scn))
     info.update(name=scn.name, command="simulate")
-    return [job], f"{scn.name}-report.json", info, EXIT_OK, None
+    return [job, _report(f"{scn.name}-report.json", info)], EXIT_OK, None
 
 
 def cmd_fixedpoint(scn: Scenario, tol: float | None) -> tuple:
@@ -175,11 +181,19 @@ def cmd_fixedpoint(scn: Scenario, tol: float | None) -> tuple:
         message = f"{scn.name}: induced-speed bounds failed: {'; '.join(image.failures)}"
     else:
         code, message = EXIT_OK, f"{scn.name}: converged in {report.iterations} iterations"
-    return jobs, f"{scn.name}-report.json", info, code, message
+    return [*jobs, _report(f"{scn.name}-report.json", info)], code, message
+
+
+def _write(path, header, body) -> None:
+    """Write one artefact: CSV columns under ``header``, or a report's text if it is None."""
+    if header is None:
+        Path(path).write_text(body, encoding="utf-8")
+    else:
+        _write_csv(path, header, body)
 
 
 def _write_csvs(jobs: list[tuple], workers: int) -> None:
-    """Write each ``(path, header, columns)`` job of ``jobs`` with :func:`_write_csv`.
+    """Write each ``(path, header, body)`` artefact of ``jobs`` with :func:`_write`.
 
     Forked child ``r`` of ``workers - 1`` writes ``jobs[r::workers]`` and this
     process writes ``jobs[0::workers]``, then reaps every child.  A failure in
@@ -198,7 +212,7 @@ def _write_csvs(jobs: list[tuple], workers: int) -> None:
                 try:
                     os.close(read_end)
                     for job in jobs[rank::workers]:
-                        _write_csv(*job)
+                        _write(*job)
                     status = 0
                 except OSError as exc:
                     os.write(write_end, str(exc).encode()[:4096])
@@ -207,7 +221,7 @@ def _write_csvs(jobs: list[tuple], workers: int) -> None:
             os.close(write_end)
             children.append((pid, read_end, jobs[rank][0]))
         for job in jobs[0::workers]:
-            _write_csv(*job)
+            _write(*job)
     except OSError as exc:
         errors.append(str(exc))
     finally:
@@ -300,14 +314,14 @@ def cmd_linear_audit(scn: Scenario) -> tuple:
     code = EXIT_OK if passed else EXIT_AUDIT_FAILED
     verdict = "passed" if passed else "failed"
     message = f"{scn.name}: linear audit {verdict} (worst ratio {bound.worst_ratio!r})"
-    return jobs, f"{scn.name}-audit.json", audit, code, message
+    return [*jobs, _report(f"{scn.name}-audit.json", audit)], code, message
 
 
 def cmd_certify(scn: Scenario) -> tuple:
     certificate = _scenario_certificate(scn)
     payload = {"name": scn.name, "command": "certify", **certificate.as_dict()}
     code = EXIT_OK if certificate.passed else EXIT_HYPOTHESIS
-    return [], f"{scn.name}-certificate.json", payload, code, certificate.machine_verdict()
+    return [_report(f"{scn.name}-certificate.json", payload)], code, certificate.machine_verdict()
 
 
 def cmd_norms(scn: Scenario) -> tuple:
@@ -328,7 +342,7 @@ def cmd_norms(scn: Scenario) -> tuple:
         ("data_radius", cert.data_radius(state.position, state.velocity, basis, gp)),
     ]
     message = "\n".join(f"{key} = {float(value)!r}" for key, value in rows)
-    return [], None, None, EXIT_OK, message
+    return [], EXIT_OK, message
 
 
 def _resolve_workers(flag: str | None) -> int:
@@ -387,14 +401,10 @@ def main(argv=None) -> int:
             result = cmd_certify(scn)
         else:
             result = cmd_norms(scn)
-        jobs, report, payload, code, message = result
+        artefacts, code, message = result
         # Only linear-audit's one CSV per mode repays a fork; the other commands' few do not.
-        _write_csvs([(out / name, header, columns) for name, header, columns in jobs],
+        _write_csvs([(out / name, header, body) for name, header, body in artefacts],
                     workers if args.subcommand == "linear-audit" else 1)
-        if report is not None:
-            with open(out / report, "w", encoding="utf-8") as f:
-                json.dump(_jsonable(payload), f, indent=2)
-                f.write("\n")
         if message is not None:
             print(message)
         return code

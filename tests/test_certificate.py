@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kirchhofflab import (
     GevreyParams,
@@ -184,3 +186,67 @@ class TestCheckHypotheses:
         d = cert.as_dict()
         assert d["machine_verdict"] == "PASS"
         assert [v["code"] for v in d["verdicts"]] == ["M>2", "2H0<M^2/4-1", "eta>eta0"]
+
+
+@st.composite
+def small_data(draw):
+    """(u0, u1, basis, s, eta - 4M^2): 1-8 modes, data scaled by 1e-7 to 1e-1."""
+    n = draw(st.integers(1, 8))
+    # no subnormal directions: their squares vanish from the data radius
+    unit = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-6, 1.0), st.floats(-1.0, -1e-6))
+    u0, u1 = (np.array(draw(st.lists(unit, min_size=n, max_size=n))) for _ in range(2))
+    assume(np.any(u0 != 0.0) or np.any(u1 != 0.0))
+    scale = 10.0 ** draw(st.floats(-7.0, -1.0))
+    return scale * u0, scale * u1, basis(n), draw(st.floats(1.01, 4.0)), draw(st.floats(0.5, 30.0))
+
+
+def lifespan(u0, u1, b, s, eta):
+    """log T*, the largest horizon with eta > eta0(T), and the certificate at T = 1.
+
+    eta0 = 2 s M^2 e^(4M^2) R T^q + 4 M^2 solved for T; R is read at this eta,
+    since it carries the weights e^(eta mu^(1/s)).
+    """
+    cert = check_hypotheses(u0, u1, b, s=s, eta=eta, T=1.0)
+    m2 = cert.M * cert.M
+    log_t = (math.log(eta - 4.0 * m2) - math.log(2.0 * s * m2 * cert.R) - 4.0 * m2) / cert.q
+    return log_t, cert
+
+
+def radius_verdict(cert):
+    return next(v for v in cert.verdicts if v.code == "eta>eta0").passed
+
+
+class TestAlmostGlobalLifespan:
+    """The certified horizon T* of eta > eta0(T) grows without bound as the data shrink."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=small_data())
+    def test_radius_verdict_flips_at_the_lifespan(self, data):
+        u0, u1, b, s, gap = data
+        M = check_hypotheses(u0, u1, b, s=s, eta=1.0, T=1.0).M  # M does not depend on eta
+        eta = 4.0 * M * M + gap
+        t_star = math.exp(lifespan(u0, u1, b, s, eta)[0])
+        below = check_hypotheses(u0, u1, b, s=s, eta=eta, T=t_star * (1.0 - 1e-9))
+        above = check_hypotheses(u0, u1, b, s=s, eta=eta, T=t_star * (1.0 + 1e-9))
+        assert radius_verdict(below) and not radius_verdict(above)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=small_data(), lam=st.floats(1e-6, 0.999))
+    def test_shrinking_the_data_raises_the_lifespan(self, data, lam):
+        # R falls as lam^2 and M can only fall; lam <= 0.999 keeps the rise above rounding
+        u0, u1, b, s, gap = data
+        M = check_hypotheses(u0, u1, b, s=s, eta=1.0, T=1.0).M
+        eta = 4.0 * M * M + gap
+        log_t, _ = lifespan(u0, u1, b, s, eta)
+        log_t_shrunk, shrunk = lifespan(lam * u0, lam * u1, b, s, eta)
+        assert shrunk.M <= M
+        assert log_t_shrunk > log_t
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=small_data(), eta=st.floats(0.1, 40.0), T=st.floats(1e-3, 10.0))
+    def test_slope_scale_and_threshold_identities(self, data, eta, T):
+        u0, u1, b, s, _ = data
+        cert = check_hypotheses(u0, u1, b, s=s, eta=eta, T=T)
+        m2 = cert.M * cert.M
+        assert cert.K0 == pytest.approx(m2 * math.exp(4.0 * m2) * cert.R * T**cert.q, rel=1e-12)
+        assert cert.eta0 == pytest.approx(2.0 * s * cert.K0 + 4.0 * m2, rel=1e-12)

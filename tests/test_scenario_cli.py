@@ -445,15 +445,16 @@ class TestCliExitCodes:
         assert _resolve_workers("1000000") == 1
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("blocked", ["out-dir", "mode2", "mode3"])
+    @pytest.mark.parametrize("blocked", ["out-dir", "mode2", "mode3", "report"])
     def test_unwritable_artefacts_exit_64(self, tmp_path, workers, blocked):
-        # at --workers 2, mode2 falls to the forked writer and mode3 to the parent
+        # at --workers 2, mode2 falls to the forked writer, mode3 and the report to the parent
         out = tmp_path / "out"
         if blocked == "out-dir":
             out.write_text("")
             path = out
         else:
-            path = out / f"linear-audit-{blocked}.csv"
+            name = "audit.json" if blocked == "report" else f"{blocked}.csv"
+            path = out / f"linear-audit-{name}"
             path.mkdir(parents=True)
         proc = run_cli(tmp_path, "linear-audit", str(scenario_path("linear-audit")),
                        "--workers", workers, out=out)
@@ -461,7 +462,7 @@ class TestCliExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("scenario error: "), proc.stderr
         assert str(path) in lines[0]
-        if blocked != "out-dir":  # no mode CSV is left, whichever process wrote it
+        if blocked != "out-dir":  # no artefact is left, whichever process wrote it
             assert [p.name for p in out.iterdir()] == [path.name]
 
     def test_killed_writer_is_a_scenario_error(self, tmp_path):
@@ -494,15 +495,16 @@ class TestCliExitCodes:
         assert out == ""
         assert list((tmp_path / "out").iterdir()) == []
 
-    def test_unwritable_fixedpoint_csv_leaves_no_csv(self, tmp_path):
+    @pytest.mark.parametrize("blocked", ["two-mode-trajectory.csv", "two-mode-report.json"])
+    def test_unwritable_fixedpoint_csv_leaves_no_csv(self, tmp_path, blocked):
         out = tmp_path / "out"
-        (out / "two-mode-trajectory.csv").mkdir(parents=True)
+        (out / blocked).mkdir(parents=True)
         code, stdout, err = run_in_process("fixedpoint", scenario_path("two-mode"), out)
         assert code == EXIT_USAGE, err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("scenario error: "), err
         assert stdout == ""
-        assert [p.name for p in out.iterdir()] == ["two-mode-trajectory.csv"]
+        assert [p.name for p in out.iterdir()] == [blocked]
 
     def test_coefficient_csv_matches_to_csv(self, tmp_path):
         scn = load_scenario(scenario_path("two-mode"))
@@ -600,12 +602,20 @@ def graded_scenarios(draw):
     return doc
 
 
-def assert_documented_exit(doc, command):
-    """``command`` on scenario ``doc`` exits 0/2/3/4/64 with at most one stderr line."""
+def assert_documented_exit(doc, command, child=False):
+    """``command`` on scenario ``doc`` exits 0/2/3/4/64 with at most one stderr line.
+
+    With ``child``, the run is a child process, so a hang past :func:`run_cli`'s
+    time bound or a death by signal fails too.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "scn.json"
         cfg.write_text(json.dumps(doc))
-        code, _, err = run_in_process(command, cfg, Path(tmp) / "out")
+        if child:
+            proc = run_cli(Path(tmp), command, str(cfg))
+            code, err = proc.returncode, proc.stderr
+        else:
+            code, _, err = run_in_process(command, cfg, Path(tmp) / "out")
     assert code in (EXIT_OK, EXIT_HYPOTHESIS, EXIT_NO_CONVERGENCE, EXIT_AUDIT_FAILED,
                     EXIT_USAGE), err
     assert len(err.splitlines()) <= 1, err
@@ -633,6 +643,11 @@ class TestMutatedScenarios:
     @given(doc=graded_scenarios(), command=st.sampled_from(list(COMMANDS)))
     def test_every_grading_ends_in_a_documented_exit(self, doc, command):
         assert_documented_exit(doc, command)
+
+    @settings(max_examples=8, deadline=None)
+    @given(doc=mutated_scenarios(), command=st.sampled_from(list(COMMANDS)))
+    def test_mutations_in_a_child_process_end_in_a_documented_exit(self, doc, command):
+        assert_documented_exit(doc, command, child=True)
 
 
 class TestDeterminism:
