@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -145,9 +146,8 @@ def cmd_simulate(scn: Scenario) -> tuple:
     return [job, _report(f"{scn.name}-report.json", info)], EXIT_OK, None
 
 
-def cmd_fixedpoint(scn: Scenario, tol: float | None) -> tuple:
-    use_tol = scn.tol if tol is None else check_tol(tol, "--tol")
-    report = fixed_point_solve(_build_run(scn), tol=use_tol, max_iter=scn.max_iter)
+def cmd_fixedpoint(scn: Scenario) -> tuple:
+    report = fixed_point_solve(_build_run(scn), tol=scn.tol, max_iter=scn.max_iter)
     coeff = report.final_coeff
     certificate = _scenario_certificate(scn)
     job, info = _trajectory(scn, report.final_solution, certificate)
@@ -166,7 +166,7 @@ def cmd_fixedpoint(scn: Scenario, tol: float | None) -> tuple:
             "converged": report.converged,
             "iterations": report.iterations,
             "distances": list(report.distances),
-            "tolerance": use_tol,
+            "tolerance": scn.tol,
             "certificate": certificate.as_dict(),
             "image_audit": _fields(image, "passed", "failures", "worst_lower_margin",
                                    "worst_upper_margin", "worst_envelope_margin",
@@ -345,6 +345,10 @@ def cmd_norms(scn: Scenario) -> tuple:
     return [], EXIT_OK, message
 
 
+COMMANDS = {"simulate": cmd_simulate, "fixedpoint": cmd_fixedpoint,
+            "linear-audit": cmd_linear_audit, "certify": cmd_certify, "norms": cmd_norms}
+
+
 def _resolve_workers(flag: str | None) -> int:
     """Writer processes: ``flag``, else the environment, else the CPU count, capped."""
     text, source = flag, "--workers"
@@ -368,7 +372,7 @@ def _resolve_workers(flag: str | None) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kirchhofflab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("simulate", "fixedpoint", "linear-audit", "certify", "norms"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out-dir", default=".", help="directory for output artifacts")
@@ -391,17 +395,9 @@ def main(argv=None) -> int:
         workers = _resolve_workers(args.workers)
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        if args.subcommand == "simulate":
-            result = cmd_simulate(scn)
-        elif args.subcommand == "fixedpoint":
-            result = cmd_fixedpoint(scn, args.tol)
-        elif args.subcommand == "linear-audit":
-            result = cmd_linear_audit(scn)
-        elif args.subcommand == "certify":
-            result = cmd_certify(scn)
-        else:
-            result = cmd_norms(scn)
-        artefacts, code, message = result
+        if args.tol is not None:
+            scn = dataclasses.replace(scn, tol=check_tol(args.tol, "--tol"))
+        artefacts, code, message = COMMANDS[args.subcommand](scn)
         # Only linear-audit's one CSV per mode repays a fork; the other commands' few do not.
         _write_csvs([(out / name, header, body) for name, header, body in artefacts],
                     workers if args.subcommand == "linear-audit" else 1)

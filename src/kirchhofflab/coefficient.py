@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeOverflowError
-from .spectral import _readonly
+from .spectral import _increasing, _readonly
 
 # Rows formatted per block: column-wise formatting is fast, and blocks keep
 # the Python floats and strings of a long trajectory from all living at once.
@@ -86,14 +86,10 @@ class CoefficientPath:
     values: np.ndarray
 
     def __post_init__(self):
-        t = _readonly(self.times)
+        t = _increasing(self.times, "sample times")
         c = _readonly(self.values)
-        if t.ndim != 1 or t.size < 2:
-            raise ValueError("path needs at least two samples")
         if t[0] != 0.0:
             raise ValueError(f"path must start at t = 0, got {t[0]}")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("sample times must be strictly increasing")
         if c.shape != t.shape or not np.all(np.isfinite(c)):
             raise ValueError("values must be finite and match the time grid")
         object.__setattr__(self, "times", t)
@@ -224,12 +220,8 @@ def sup_distance(
     """
     if not t_lo <= t_hi:
         raise ValueError("interval must satisfy t_lo <= t_hi")
-    slack = 1e-12 * max(1.0, t_hi)
     for p in (a, b):
-        if t_lo < -slack or t_hi > p.end_time + slack:
-            raise ValueError(
-                f"interval [{t_lo}, {t_hi}] not covered by path domain [0, {p.end_time}]"
-            )
+        p._check_domain(np.array([t_lo, t_hi]))
     grid = np.union1d(a.times, b.times)
     grid = grid[(grid >= t_lo) & (grid <= t_hi)]
     grid = np.union1d(grid, [t_lo, t_hi])

@@ -28,6 +28,7 @@ from .spectral import (
     _LOG_MAX,
     _data_norm_sq,
     _in_range,
+    _increasing,
     _readonly,
     same_basis,
 )
@@ -94,14 +95,8 @@ def _check_guard(c_max: float, lam_max: float, grid: np.ndarray) -> None:
 
 
 def _validate_grid(coeff: CoefficientPath, grid: np.ndarray) -> np.ndarray:
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0.0):
-        raise ValueError("grid must be strictly increasing with at least two points")
-    slack = 1e-12 * max(1.0, coeff.end_time)
-    if g[0] < -slack or g[-1] > coeff.end_time + slack:
-        raise ValueError(
-            f"grid [{g[0]}, {g[-1]}] leaves the coefficient domain [0, {coeff.end_time}]"
-        )
+    g = _increasing(grid, "grid")
+    coeff._check_domain(g)
     return g
 
 
@@ -228,9 +223,11 @@ def _freeze_time(mu: float, cls: AdmissibleClass, s: float):
     if not denom > 0.0:
         raise ValueError(f"need q*s - s > 0, got {denom}")
     p = 1.0 / denom
-    if cls.T * mu**p <= 1.0:
-        return True, None
-    return False, cls.T - mu ** (-p)
+    try:
+        low = cls.T * mu**p <= 1.0
+    except OverflowError:  # mu^p beyond the double range: compare logarithms
+        low = p * math.log(mu) <= -math.log(cls.T)
+    return (True, None) if low else (False, cls.T - mu ** (-p))
 
 
 def _regularized_speeds(

@@ -24,6 +24,7 @@ from .spectral import (
     SpectralState,
     Trajectory,
     _D_OVERFLOW,
+    _increasing,
     dirichlet_energy,
     hamiltonian,
     same_basis,
@@ -46,12 +47,9 @@ class KirchhoffRun:
             raise ValueError("initial state must live on the run basis")
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
-        g = np.array(self.grid, dtype=float)
-        if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
+        g = _increasing(self.grid, "grid")
         if g[0] != 0.0 or abs(g[-1] - self.horizon) > 1e-12 * max(1.0, self.horizon):
             raise ValueError("grid must cover [0, horizon]")
-        g.setflags(write=False)
         object.__setattr__(self, "grid", g)
 
     def speed_ceiling(self) -> float:
@@ -205,8 +203,6 @@ def check_induced_speed(
     tol: float = 0.0,
 ) -> InducedSpeedReport:
     """Verify the admissibility bounds on an induced-speed path."""
-    if tol < 0.0:
-        raise ValueError("tolerance must be nonnegative")
     cls = AdmissibleClass(q=q, M=M, K0=K0, T=T, m0=1.0)
     base = check_admissibility(coeff_out, cls, tol=tol)
 

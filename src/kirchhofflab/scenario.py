@@ -63,9 +63,7 @@ class Scenario:
     manufactured: ManufacturedSpec | None
 
     def build_basis(self) -> ModeBasis:
-        if self.basis_kind == "torus":
-            return ModeBasis.torus(self.basis_count)
-        return ModeBasis.interval_dirichlet(self.basis_count)
+        return ModeBasis(self.basis_kind, np.arange(1, self.basis_count + 1, dtype=float))
 
     def build_initial(self, basis: ModeBasis | None = None) -> SpectralState:
         basis = basis or self.build_basis()

@@ -49,6 +49,16 @@ def _readonly(a) -> np.ndarray:
     return out
 
 
+def _increasing(t, what: str, least: int = 2) -> np.ndarray:
+    """``t`` read-only, if it is 1-d with ``least`` or more finite, strictly increasing values."""
+    g = _readonly(t)
+    # diff > 0 is False at a NaN, and strictly increasing with finite ends is finite throughout
+    if not (g.ndim == 1 and g.size >= least and np.all(np.diff(g) > 0.0)
+            and math.isfinite(g[0]) and math.isfinite(g[-1])):
+        raise ValueError(f"{what} must be {least} or more finite, strictly increasing values")
+    return g
+
+
 def _immutable(a) -> bool:
     # Read-only all the way down: neither the array nor any array it views is writable.
     while isinstance(a, np.ndarray) and not a.flags.writeable:
@@ -75,13 +85,9 @@ class ModeBasis:
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        mu = _readonly(self.frequencies)
-        if mu.ndim != 1 or mu.size == 0:
-            raise ValueError("frequencies must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(mu)) or mu[0] <= 0.0:
-            raise ValueError("frequencies must be finite and positive")
-        if np.any(np.diff(mu) <= 0.0):
-            raise ValueError("frequencies must be strictly increasing")
+        mu = _increasing(self.frequencies, "frequencies", least=1)
+        if mu[0] <= 0.0:
+            raise ValueError("frequencies must be positive")
         object.__setattr__(self, "frequencies", mu)
         object.__setattr__(self, "eigenvalues", _readonly(mu * mu))
 
@@ -92,15 +98,11 @@ class ModeBasis:
     @classmethod
     def interval_dirichlet(cls, count: int) -> "ModeBasis":
         """Sine eigenbasis of -d^2/dx^2 on (0, pi) with zero boundary values."""
-        if count < 1:
-            raise ValueError("count must be a positive integer")
         return cls("interval-dirichlet", np.arange(1, count + 1, dtype=float))
 
     @classmethod
     def torus(cls, count: int) -> "ModeBasis":
         """One real eigenfunction per positive integer frequency on the circle."""
-        if count < 1:
-            raise ValueError("count must be a positive integer")
         return cls("torus", np.arange(1, count + 1, dtype=float))
 
 
@@ -117,18 +119,8 @@ class SpectralState:
     velocity: np.ndarray
 
     def __post_init__(self):
-        pos = _readonly(self.position)
-        vel = _readonly(self.velocity)
-        n = self.basis.count
-        if pos.shape != (n,) or vel.shape != (n,):
-            raise ValueError(
-                f"state length mismatch: basis has {n} modes, "
-                f"got position {pos.shape} and velocity {vel.shape}"
-            )
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
-            raise ValueError("state coefficients must be finite")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "velocity", vel)
+        object.__setattr__(self, "position", _as_coeffs(_readonly(self.position), self.basis))
+        object.__setattr__(self, "velocity", _as_coeffs(_readonly(self.velocity), self.basis))
 
     @classmethod
     def zero(cls, basis: ModeBasis) -> "SpectralState":
@@ -248,12 +240,10 @@ class Trajectory:
     _dirichlet: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        t = _readonly(self.times)
+        t = _increasing(self.times, "times", least=1)
         pos = _readonly(self.position)
         vel = _readonly(self.velocity)
         n, m = self.basis.count, t.size
-        if t.ndim != 1 or m < 1 or np.any(np.diff(t) <= 0.0):
-            raise ValueError("times must be strictly increasing")
         if pos.shape != (n, m) or vel.shape != (n, m):
             raise ValueError(
                 f"trajectory shape mismatch: expected ({n}, {m}), "

@@ -33,7 +33,7 @@ from kirchhofflab import (
     uniform_grid,
     verify_energy_bound,
 )
-from kirchhofflab.linear import GUARD, _rk4_coefficients, _rk4_march, _rk4_modes
+from kirchhofflab.linear import GUARD, _freeze_time, _rk4_coefficients, _rk4_march, _rk4_modes
 
 Q, S, T = 1.5, 2.0, 1.0
 
@@ -335,6 +335,16 @@ class TestRegularizedSpeed:
         coeff = oscillating_path(base_step=2e-3)
         with pytest.raises(ValueError):
             regularized_speed(coeff, 1.5, 4.0, audit_class(), S)
+
+    def test_frequency_power_past_double_range(self):
+        # q*s - s = 0.002: mu^500 overflows for mu >= 5, and T*mu^500 > 1 makes mu high-frequency
+        cls = AdmissibleClass(q=1.001, M=1.3, K0=0.0, T=1.0)
+        coeff = CoefficientPath(np.array([0.0, 1.0]), np.array([1.0, 1.2]))
+        assert regularized_speed(coeff, 0.5, 16.0, cls, S) == pytest.approx(1.1, rel=1e-15)
+        assert decay_integral_bound(16.0, cls, S) == 0.0  # 4*M^2*mu^-499 underflows; low is 4*M^2
+        # Below T = e^-744.4, 4.3^500 = e^729.3 still leaves T*mu^500 < 1: low-frequency.
+        tiny = AdmissibleClass(q=1.001, M=1.3, K0=0.0, T=5e-324)
+        assert _freeze_time(4.3, tiny, S) == (True, None)
 
 
 class TestDecayRate:

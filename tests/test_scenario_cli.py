@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import kirchhofflab
 from kirchhofflab import ScenarioError
 from kirchhofflab.cli import (
+    COMMANDS as CLI_COMMANDS,
     EXIT_AUDIT_FAILED,
     EXIT_HYPOTHESIS,
     EXIT_NO_CONVERGENCE,
@@ -387,6 +388,7 @@ class TestCliExitCodes:
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == EXIT_USAGE
 
     def test_usage_errors_exit_64(self):
+        assert tuple(CLI_COMMANDS) == COMMANDS  # the scenario's command hint names a subcommand
         assert main(["frobnicate"]) == EXIT_USAGE
         assert main(["simulate"]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE
@@ -408,9 +410,10 @@ class TestCliExitCodes:
         assert report["iterations"] == 1  # the loose tolerance converges immediately
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-    def test_tol_flag_is_range_checked(self, tmp_path, tol):
+    @pytest.mark.parametrize("command", ["fixedpoint", "certify", "simulate"])
+    def test_tol_flag_is_range_checked(self, tmp_path, tol, command):
         cfg = str(scenario_path("two-mode"))
-        proc = run_cli(tmp_path, "fixedpoint", cfg, "--tol", tol)
+        proc = run_cli(tmp_path, command, cfg, "--tol", tol)
         assert proc.returncode == EXIT_USAGE, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("scenario error: --tol: "), proc.stderr
@@ -550,6 +553,9 @@ ESCAPES = [
                  "<= M", id="m0-above-M"),
     pytest.param("linear-audit", "linear-audit", {"grid.grading_ratio": None}, EXIT_USAGE,
                  "graded grid", id="audit-on-uniform-grid"),
+    pytest.param("linear-audit", "linear-audit",
+                 {"options.manufactured.q": 1.001, "options.manufactured.amplitude": 0},
+                 EXIT_OK, "", id="freeze-time-power-overflows"),
 ]
 
 # Replacement values of the CLI fuzz: the double range's edges, huge ints, wrong types.

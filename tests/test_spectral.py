@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kirchhofflab import (
+    CoefficientPath,
     GevreyParams,
+    KirchhoffRun,
     ModeBasis,
     RangeOverflowError,
     SpectralState,
@@ -16,6 +18,7 @@ from kirchhofflab import (
     gevrey_norm,
     hamiltonian,
     same_basis,
+    solve_modes,
     sobolev_norm,
     state_gevrey_norm,
 )
@@ -240,6 +243,25 @@ class TestEnergies:
             scaled = SpectralState(b, alpha * pos, alpha * vel)
             expected = alpha**2 * 0.5 * (d + v) + alpha**4 * 0.25 * d**2
             assert hamiltonian(scaled) == pytest.approx(expected, rel=1e-13)
+
+
+# Every constructor and solver that takes a time grid, called with the grid ``t``.
+GRID_TAKERS = {
+    "CoefficientPath": lambda t: CoefficientPath(t, np.ones(t.size)),
+    "Trajectory": lambda t: Trajectory(basis(2), t, np.zeros((2, t.size)), np.zeros((2, t.size))),
+    "KirchhoffRun": lambda t: KirchhoffRun(basis(2), SpectralState.zero(basis(2)), 1.0,
+                                           GevreyParams(2.0, 2.0), t),
+    "solve_modes": lambda t: solve_modes(CoefficientPath.constant(1.0, [0.0, 1.0]), basis(2),
+                                         [0.1, 0.0], [0.0, 0.0], t),
+}
+
+
+@pytest.mark.parametrize("taker", GRID_TAKERS)
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [-np.inf, 0.5, 1.0]],
+                         ids=["nan", "inf", "minus-inf"])
+def test_grids_with_non_finite_times_are_refused(taker, times):
+    with pytest.raises(ValueError, match="finite, strictly increasing"):
+        GRID_TAKERS[taker](np.array(times))
 
 
 class TestTrajectory:

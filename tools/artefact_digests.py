@@ -1,0 +1,113 @@
+"""Exit code, output and artefact digests of every command on every standard input.
+
+Usage, from anywhere:
+
+    python3 tools/artefact_digests.py CHECKOUT --workers N
+
+Imports ``kirchhofflab`` from ``CHECKOUT/src`` and runs ``cli.main`` in this
+process on each shipped scenario of ``CHECKOUT/scenarios`` and on each
+benchmark cell that ``CHECKOUT/perfbench/workloads.py`` generates for seeds
+1 and 7919, under every command, with ``--workers N``.  Prints one JSON line
+per run: the input, the command, the exit code, stdout, stderr, the text of
+each warning and of an exception that escaped ``main``, and the sha256 of each
+artefact.  Runs go in a temporary directory with relative paths, so two
+checkouts print the same lines when they behave the same:
+
+    diff <(python3 tools/artefact_digests.py OLD --workers 2) \\
+         <(python3 tools/artefact_digests.py NEW --workers 2)
+
+Nothing in CHECKOUT is written, bytecode included.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+SEEDS = (1, 7919)
+COMMANDS = ("simulate", "fixedpoint", "linear-audit", "certify", "norms")
+
+
+def _inputs(checkout: Path, into: Path) -> list[Path]:
+    """Write every input scenario under ``into``; returns their paths relative to it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", checkout / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    docs = [(Path("shipped") / p.name, json.loads(p.read_text(encoding="utf-8")))
+            for p in sorted((checkout / "scenarios").glob("*.json"))]
+    for seed in SEEDS:
+        for workload in workloads.WORKLOADS:
+            for doc in workloads.scenarios(workload, seed):
+                docs.append((Path(f"seed{seed}") / workload / f"{doc['name']}.json", doc))
+    for rel, doc in docs:
+        (into / rel).parent.mkdir(parents=True, exist_ok=True)
+        (into / rel).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return [rel for rel, _ in docs]
+
+
+def _run(cli, command: str, config: Path, out: Path, workers: int) -> dict:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code, raised = None, None
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        try:
+            code = cli.main([command, "--config", str(config), "--out-dir", str(out),
+                             "--workers", str(workers)])
+        except Exception as exc:  # an escape is a result to compare, not the end of the sweep
+            raised = f"{type(exc).__name__}: {exc}"
+    artefacts = {}
+    if out.is_dir():
+        artefacts = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in sorted(out.iterdir())}
+        shutil.rmtree(out)
+    return {
+        "config": str(config),
+        "command": command,
+        "exit": code,
+        "raised": raised,
+        "stdout": stdout.getvalue(),
+        "stderr": stderr.getvalue(),
+        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+        "artefacts": artefacts,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", type=Path, help="repository checkout to run")
+    parser.add_argument("--workers", type=int, required=True, help="the CLI's --workers value")
+    args = parser.parse_args(argv)
+    checkout = args.checkout.resolve()
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(checkout / "src"))
+    import kirchhofflab.cli as cli
+
+    if Path(cli.__file__).resolve().parent != checkout / "src" / "kirchhofflab":
+        sys.exit(f"imported kirchhofflab from {cli.__file__}, not from {checkout}")
+    os.environ.pop("KIRCHHOFFLAB_WORKERS", None)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for config in _inputs(checkout, Path(tmp)):
+                for command in COMMANDS:
+                    result = _run(cli, command, config, Path("out"), args.workers)
+                    print(json.dumps(result, sort_keys=True), flush=True)
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
