@@ -53,8 +53,7 @@ class ModeTrajectory:
         t, v, w = _readonly(self.times), _readonly(self.v), _readonly(self.vdot)
         if not (t.shape == v.shape == w.shape) or t.ndim != 1:
             raise ValueError("times, v and vdot must be 1-d and of equal length")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
-            raise ValueError("trajectory entries must be finite")
+        Trajectory._check_finite(v, w)
         if not self.mu > 0.0:
             raise ValueError("mode frequency must be positive")
         for name, arr in (("times", t), ("v", v), ("vdot", w)):
@@ -150,9 +149,15 @@ def _rk4_modes(coeff, lam, v0, w0, grid):
     live = np.flatnonzero((v0 != 0.0) | (w0 != 0.0))
     if not 1 < live.size < lam.size:
         return _rk4_march(lam, v0, w0, grid.size, 2, lambda i, _rows, _x: steps[i])
-    S = np.zeros((2, grid.size, lam.size))  # full-march layout; made first: lower peak RSS
     V, W = _rk4_march(lam[live], v0[live], w0[live], grid.size, 2, lambda i, _r, _x: steps[i])
-    S[:, 0] = v0, w0  # keeps the sign of a -0.0 datum
+    return _scatter(v0, w0, live, V, W)
+
+
+def _scatter(v0, w0, live, V, W):
+    """Read-only (modes, times) layout of the march (V, W) of rows ``live``: sample 0 is
+    the data (v0, w0), keeping the sign of a -0.0 datum, and other rows are +0.0 after it."""
+    S = np.zeros((2, V.shape[1], v0.size))
+    S[:, 0] = v0, w0
     S[0, 1:, live], S[1, 1:, live] = V[:, 1:], W[:, 1:]
     S.setflags(write=False)
     return S[0].T, S[1].T
@@ -281,11 +286,11 @@ def decay_integral_bound(mu: float, cls: AdmissibleClass, s: float) -> float:
     2*K0/(m0*(q-1)) * mu^(1/s) + 4*M^2/m0 * mu^(1 - 1/(qs-s)).
     """
     low, _ = _freeze_time(mu, cls, s)
+    r, what = cls.q * s - s, "decay integral bound"
     if low:
-        return 4.0 * cls.M**2 / cls.m0 * cls.T ** (1.0 - (cls.q * s - s))
-    return 2.0 * cls.K0 / (cls.m0 * (cls.q - 1.0)) * mu ** (1.0 / s) + (
-        4.0 * cls.M**2 / cls.m0 * mu ** (1.0 - 1.0 / (cls.q * s - s))
-    )
+        return _in_range(lambda: 4.0 * cls.M**2 / cls.m0 * cls.T ** (1.0 - r), what)
+    return _in_range(lambda: 2.0 * cls.K0 / (cls.m0 * (cls.q - 1.0)) * mu ** (1.0 / s)
+                     + 4.0 * cls.M**2 / cls.m0 * mu ** (1.0 - 1.0 / r), what)
 
 
 def _decay_cumulative(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coefficient import AdmissibleClass, CoefficientPath, check_admissibility
 from .errors import HypothesisError, RangeOverflowError
-from .linear import _check_guard, _rk4_coefficients, _rk4_march, solve_modes
+from .linear import _check_guard, _rk4_coefficients, _rk4_march, _rk4_modes, _scatter, solve_modes
 from .spectral import (
     GevreyParams,
     ModeBasis,
@@ -63,9 +63,9 @@ class FixedPointReport:
 
     ``distances[i]`` is the sup-norm move of the i-th map application;
     convergence means the last move fell below the tolerance.  The final
-    solution is the linear trajectory computed in the last iteration; the
-    speed that produced it is within the last recorded distance of
-    ``final_coeff``.
+    solution is the linear trajectory computed in the last iteration, whose
+    D(t) gave ``final_coeff``; the speed that produced it is within the last
+    recorded distance of ``final_coeff``.
     """
 
     iterations: int
@@ -113,23 +113,29 @@ def fixed_point_solve(
     d0 = dirichlet_energy(run.initial)
     if not math.isfinite(d0):
         raise RangeOverflowError(_D_OVERFLOW)
-    coeff = CoefficientPath.constant(math.sqrt(1.0 + d0), run.grid)
+    init, lam, grid = run.initial, run.basis.eigenvalues, run.grid
+    live = np.flatnonzero((init.position != 0.0) | (init.velocity != 0.0))
+    coeff = CoefficientPath.constant(math.sqrt(1.0 + d0), grid)
     distances: list[float] = []
     for _ in range(max_iter):
-        traj = None  # release the previous iterate before the next solve allocates
-        traj = _sweep(coeff, run)
-        new_values = traj.induced_speed_series()
+        _check_guard(float(np.max(coeff.values)), float(lam[-1]), grid)  # the full basis's guard
+        V, W = (_rk4_modes(coeff, lam[live], init.position[live], init.velocity[live], grid)
+                if live.size else np.zeros((2, 0, grid.size)))  # only the live modes march
+        Trajectory._check_finite(V, W)
+        D = Trajectory._dirichlet_of(lam[live], V)
+        new_values = np.sqrt(1.0 + D)
         d = float(np.max(np.abs(new_values - coeff.values)))
         distances.append(d)
-        coeff = CoefficientPath(run.grid, new_values)
+        coeff = CoefficientPath(grid, new_values)
         if d < tol:
             break
+    V, W = _scatter(init.position, init.velocity, live, V, W)
     return FixedPointReport(
         iterations=len(distances),
         distances=tuple(distances),
         converged=distances[-1] < tol,
         final_coeff=coeff,
-        final_solution=traj,
+        final_solution=Trajectory(run.basis, grid, V, W, _dirichlet=D),
     )
 
 

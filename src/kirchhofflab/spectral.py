@@ -230,14 +230,14 @@ class Trajectory:
     """Time-indexed coefficient history of a field and its time derivative.
 
     ``position`` and ``velocity`` have shape (modes, times); column i is the
-    state at ``times[i]``.
+    state at ``times[i]``; ``_dirichlet`` may carry the caller's D(t) of ``position``.
     """
 
     basis: ModeBasis
     times: np.ndarray
     position: np.ndarray
     velocity: np.ndarray
-    _dirichlet: np.ndarray | None = field(default=None, init=False, repr=False)
+    _dirichlet: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         t = _increasing(self.times, "times", least=1)
@@ -249,11 +249,25 @@ class Trajectory:
                 f"trajectory shape mismatch: expected ({n}, {m}), "
                 f"got {pos.shape} and {vel.shape}"
             )
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
-            raise ValueError("trajectory entries must be finite")
+        self._check_finite(pos, vel)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "velocity", vel)
+
+    @staticmethod
+    def _check_finite(position, velocity) -> None:
+        if not (np.all(np.isfinite(position)) and np.all(np.isfinite(velocity))):
+            raise ValueError("trajectory entries must be finite")
+
+    @staticmethod
+    def _dirichlet_of(eigenvalues, position) -> np.ndarray:
+        """D = eigenvalues @ position^2, read-only; :class:`RangeOverflowError` on overflow."""
+        with np.errstate(over="ignore"):
+            d = eigenvalues @ (position * position)
+        if not np.all(np.isfinite(d)):
+            raise RangeOverflowError(_D_OVERFLOW)
+        d.setflags(write=False)
+        return d
 
     def state_at(self, i: int) -> SpectralState:
         return SpectralState(self.basis, self.position[:, i], self.velocity[:, i])
@@ -263,15 +277,10 @@ class Trajectory:
 
         Raises :class:`RangeOverflowError`, on every call, when D overflows.
         """
-        d = self._dirichlet
-        if d is None:
-            with np.errstate(over="ignore"):
-                d = self.basis.eigenvalues @ (self.position * self.position)
-            if not np.all(np.isfinite(d)):
-                raise RangeOverflowError(_D_OVERFLOW)
-            d.setflags(write=False)
+        if self._dirichlet is None:
+            d = self._dirichlet_of(self.basis.eigenvalues, self.position)
             object.__setattr__(self, "_dirichlet", d)
-        return d
+        return self._dirichlet
 
     def hamiltonian_series(self) -> np.ndarray:
         d = self.dirichlet_series()

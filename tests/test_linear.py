@@ -15,6 +15,7 @@ from kirchhofflab import (
     ModeBasis,
     ModeTrajectory,
     OscillatingSpeed,
+    RangeOverflowError,
     SpectralState,
     StabilityError,
     Trajectory,
@@ -345,6 +346,16 @@ class TestRegularizedSpeed:
         # Below T = e^-744.4, 4.3^500 = e^729.3 still leaves T*mu^500 < 1: low-frequency.
         tiny = AdmissibleClass(q=1.001, M=1.3, K0=0.0, T=5e-324)
         assert _freeze_time(4.3, tiny, S) == (True, None)
+
+    @pytest.mark.parametrize("mu, cls, low", [
+        (1.0, AdmissibleClass(q=1000.0, M=1.3, K0=0.0, T=1e-3), True),  # T^(1 - (qs - s))
+        (4.0, AdmissibleClass(q=1.5, M=1e200, K0=0.0, T=1.0), False),  # M^2
+        (1e10, AdmissibleClass(q=1.5, M=1.3, K0=1e308, T=1.0), False),  # 2*K0/(q - 1) is inf
+    ], ids=["low-horizon-power", "high-M-squared", "high-inf-sum"])
+    def test_decay_integral_bound_past_double_range(self, mu, cls, low):
+        assert _freeze_time(mu, cls, S)[0] is low
+        with pytest.raises(RangeOverflowError, match="decay integral bound overflows"):
+            decay_integral_bound(mu, cls, S)
 
 
 class TestDecayRate:

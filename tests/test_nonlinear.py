@@ -31,7 +31,11 @@ from kirchhofflab import (
     uniform_grid,
 )
 from kirchhofflab.certificate import _M_MARGIN
+from kirchhofflab.cli import _build_run
 from kirchhofflab.linear import GUARD
+from kirchhofflab.scenario import load_scenario
+
+from conftest import SCENARIO_DIR
 
 GP = GevreyParams(s=2.0, eta=2.0)
 
@@ -167,6 +171,95 @@ class TestFixedPointSolve:
         assert report.converged
         d = report.distances
         assert all(d[i + 1] < d[i] for i in range(len(d) - 1))
+
+
+FIXEDPOINT_SCENARIOS = sorted(
+    p for p in SCENARIO_DIR.glob("*.json") if load_scenario(p).command == "fixedpoint"
+)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_one_d(report):
+    """coefficient.csv's c and trajectory.csv's induced_speed come from one D(t)."""
+    assert same_bits(report.final_coeff.values, report.final_solution.induced_speed_series())
+
+
+class TestLiveModeIterate:
+    """Each iterate marches only the modes with nonzero data; every mode is laid out once."""
+
+    @pytest.mark.parametrize("path", FIXEDPOINT_SCENARIOS, ids=lambda p: p.stem)
+    def test_shipped_runs_carry_one_d(self, path):
+        scn = load_scenario(path)
+        assert_one_d(fixed_point_solve(_build_run(scn), tol=scn.tol, max_iter=scn.max_iter))
+
+    def test_many_live_modes_carry_one_d(self):
+        # D summed over 7 live rows rounds differently from the 48-row product
+        rng = np.random.default_rng(13)
+        pos, vel = np.zeros(48), np.zeros(48)
+        live = rng.choice(48, 7, replace=False)
+        pos[live] = rng.uniform(-0.02, 0.02, 7) / (1.0 + live)
+        vel[live[:3]] = rng.uniform(-0.02, 0.02, 3)
+        report = fixed_point_solve(make_run(pos, velocities=vel, steps=2000), tol=1e-12)
+        assert report.converged
+        assert_one_d(report)
+
+    def test_guard_uses_the_full_basis(self):
+        # data in mode 1 only: dt = 0.05 passes mu = 1 and fails mu = 64
+        run = make_run([0.1], n=64, steps=20)
+        c0 = math.sqrt(1.0 + dirichlet_energy(run.initial))
+        with pytest.raises(StabilityError) as err:
+            fixed_point_solve(run)
+        assert err.value.required_step == GUARD / (c0 * 64.0)
+        assert fixed_point_solve(make_run([0.1], n=1, steps=20)).converged
+
+    @pytest.mark.parametrize("pos, vel", [
+        ([0.0, -0.0, 0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, 0.0, -0.0, 0.0]),
+        ([-0.0, 0.0, 0.1, -0.0, 0.0, 0.0], [0.0, -0.0, -0.05, 0.0, -0.0, 0.0]),
+        ([0.1, -0.0, 0.0, 0.05, -0.0, 0.0], [0.0, -0.0, 0.02, -0.0, 0.0, -0.0]),
+    ], ids=["no-live-mode", "one-live-mode", "three-live-modes"])
+    def test_final_solution_layout(self, pos, vel):
+        pos, vel = np.array(pos), np.array(vel)
+        run = make_run(pos, velocities=vel, steps=300)
+        report = fixed_point_solve(run)
+        assert report.converged
+        sol = report.final_solution
+        for arr, data in ((sol.position, pos), (sol.velocity, vel)):
+            assert arr.shape == (6, run.grid.size) and not arr.flags.writeable
+            assert same_bits(arr[:, 0], data)  # each datum keeps its sign
+        live = (pos != 0.0) | (vel != 0.0)
+        for arr in (sol.position, sol.velocity):
+            rest = arr[~live, 1:]
+            assert np.all(rest == 0.0) and not np.any(np.signbit(rest))
+        assert_one_d(report)
+        if not live.any():
+            assert report.iterations == 1 and np.all(report.final_coeff.values == 1.0)
+            return
+        # the live modes alone decide the run: on a basis of their frequencies
+        # (one column through matrix-vector BLAS), every bit is the same
+        sub = ModeBasis("interval-dirichlet", run.basis.frequencies[live])
+        alone = fixed_point_solve(KirchhoffRun(
+            sub, SpectralState(sub, pos[live], vel[live]), run.horizon, GP, run.grid))
+        assert same_bits(alone.final_coeff.values, report.final_coeff.values)
+        assert same_bits(alone.final_solution.position, sol.position[live])
+        assert same_bits(alone.final_solution.velocity, sol.velocity[live])
+
+    def test_an_iterate_with_non_finite_entries_is_refused(self):
+        # lambda^2 = 1e400 overflows in the step, although D(0) = 1 and the guard hold
+        basis = ModeBasis("torus", np.array([1.0, 1e100]))
+        initial = SpectralState(basis, [0.0, 1e-100], [0.0, 0.0])
+        run = KirchhoffRun(basis, initial, 1e-101, GP, uniform_grid(1e-101, 4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="trajectory entries must be finite"):
+                fixed_point_solve(run)
+
+    def test_an_iterate_whose_d_overflows_is_refused(self):
+        # D(0) = 0, but the velocity turns into position with D near (2e154)^2
+        run = make_run([0.0, 0.0], velocities=[2e154], n=2, steps=100)
+        with pytest.raises(RangeOverflowError, match="Dirichlet energy"):
+            fixed_point_solve(run)
 
 
 class TestDirectOracle:
