@@ -32,5 +32,9 @@ class RangeOverflowError(OverflowError):
         self.log_value = log_value
 
 
+class _NonFiniteError(RangeOverflowError, ValueError):
+    """A trajectory entry is not finite, as when a march leaves the double range."""
+
+
 class ScenarioError(ValueError):
     """Scenario configuration is malformed (parse or validation failure)."""

@@ -73,7 +73,7 @@ class LinearProblem:
 
     def __post_init__(self):
         if not same_basis(self.initial.basis, self.basis):
-            raise ValueError("initial state must live on the problem basis")
+            raise ValueError("initial state must be on the problem basis")
         if not self.sigma >= 1.0:
             raise ValueError(f"estimate order must satisfy sigma >= 1, got {self.sigma}")
 
@@ -93,9 +93,11 @@ def _check_guard(c_max: float, lam_max: float, grid: np.ndarray) -> None:
         )
 
 
-def _validate_grid(coeff: CoefficientPath, grid: np.ndarray) -> np.ndarray:
+def _validate_grid(coeff: CoefficientPath, grid, lam_max: float) -> np.ndarray:
+    """``grid`` as a read-only array, on the path's domain and under the guard at ``lam_max``."""
     g = _increasing(grid, "grid")
     coeff._check_domain(g)
+    _check_guard(float(np.max(coeff.values)), lam_max, g)
     return g
 
 
@@ -124,43 +126,25 @@ def _rk4_march(lam, v0, w0, m, degree, step_matrix):
     n = lam.size
     powers = np.stack([lam**j for j in range(degree + 1)])[:, None]
     P = np.empty((degree + 1, 2, n))  # P[j] = lambda^j * x
-    rows, low = P.reshape(-1, n), P[:3].reshape(6, n)
+    rows, low = P.reshape(2 * degree + 2, n), P[:3].reshape(6, n)
     S = np.empty((2, m, n))  # S[:, i] is the state (v, w) at sample i
     S[:, 0] = v0, w0
     x = S[:, 0]
-    for i in range(m - 1):
-        np.multiply(powers, x, out=P)
-        x = np.matmul(step_matrix(i, rows, x), low, out=S[:, i + 1])
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks finiteness
+        for i in range(m - 1):
+            np.multiply(powers, x, out=P)
+            x = np.matmul(step_matrix(i, rows, x), low, out=S[:, i + 1])
     S.setflags(write=False)  # lets Trajectory adopt the buffer without a copy
     return S[0].T, S[1].T
 
 
 def _rk4_modes(coeff, lam, v0, w0, grid):
-    """March the modes along a validated grid; returns (V, W) of shape (modes, times).
-
-    Zero-data modes stay exact zeros, so only the live ones march, unless all or
-    at most one are live (one column alone goes through gemv and changes bits).
-    """
-    _check_guard(float(np.max(coeff.values)), float(np.max(lam)), grid)
+    """March every given mode on a validated, guarded grid; returns (V, W), (modes, times)."""
     c2_nodes = coeff.evaluate(grid) ** 2
     c2_mids = coeff.evaluate(0.5 * (grid[:-1] + grid[1:])) ** 2
     cv, cw = _rk4_coefficients(np.diff(grid), c2_nodes[:-1], c2_mids, c2_mids, c2_nodes[1:])
     steps = np.stack(np.broadcast_arrays(*cv, *cw), axis=-1).reshape(-1, 2, 6)
-    live = np.flatnonzero((v0 != 0.0) | (w0 != 0.0))
-    if not 1 < live.size < lam.size:
-        return _rk4_march(lam, v0, w0, grid.size, 2, lambda i, _rows, _x: steps[i])
-    V, W = _rk4_march(lam[live], v0[live], w0[live], grid.size, 2, lambda i, _r, _x: steps[i])
-    return _scatter(v0, w0, live, V, W)
-
-
-def _scatter(v0, w0, live, V, W):
-    """Read-only (modes, times) layout of the march (V, W) of rows ``live``: sample 0 is
-    the data (v0, w0), keeping the sign of a -0.0 datum, and other rows are +0.0 after it."""
-    S = np.zeros((2, V.shape[1], v0.size))
-    S[:, 0] = v0, w0
-    S[0, 1:, live], S[1, 1:, live] = V[:, 1:], W[:, 1:]
-    S.setflags(write=False)
-    return S[0].T, S[1].T
+    return _rk4_march(lam, v0, w0, grid.size, 2, lambda i, _rows, _x: steps[i])
 
 
 def solve_mode(
@@ -169,7 +153,7 @@ def solve_mode(
     """Integrate one mode equation v'' + c(t)^2 lam v = 0 along ``grid``."""
     if not lam > 0.0:
         raise ValueError("eigenvalue must be positive")
-    g = _validate_grid(coeff, grid)
+    g = _validate_grid(coeff, grid, lam)
     V, W = _rk4_modes(coeff, np.array([lam]), np.array([float(v0)]), np.array([float(v1)]), g)
     return ModeTrajectory(times=g, v=V[0], vdot=W[0], mu=math.sqrt(lam))
 
@@ -183,14 +167,13 @@ def solve_modes(
 ) -> Trajectory:
     """Integrate every basis mode with a shared coefficient path.
 
-    The modes with nonzero data advance together in one serial sweep over the
-    grid; a mode with zero data is exact zeros after its first sample.
+    The modes advance together in one serial sweep over the grid.
     """
-    g = _validate_grid(coeff, grid)
     v0 = np.asarray(position, dtype=float)
     w0 = np.asarray(velocity, dtype=float)
     if v0.shape != (basis.count,) or w0.shape != (basis.count,):
         raise ValueError("initial data length must match the basis")
+    g = _validate_grid(coeff, grid, float(basis.eigenvalues[-1]))
     V, W = _rk4_modes(coeff, basis.eigenvalues, v0, w0, g)
     return Trajectory(basis, g, V, W)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coefficient import AdmissibleClass, CoefficientPath, check_admissibility
 from .errors import HypothesisError, RangeOverflowError
-from .linear import _check_guard, _rk4_coefficients, _rk4_march, _rk4_modes, _scatter, solve_modes
+from .linear import _check_guard, _rk4_coefficients, _rk4_march, _rk4_modes, solve_modes
 from .spectral import (
     GevreyParams,
     ModeBasis,
@@ -44,7 +44,7 @@ class KirchhoffRun:
 
     def __post_init__(self):
         if not same_basis(self.initial.basis, self.basis):
-            raise ValueError("initial state must live on the run basis")
+            raise ValueError("initial state must be on the run basis")
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
         g = _increasing(self.grid, "grid")
@@ -84,13 +84,22 @@ def _sweep(coeff: CoefficientPath, run: KirchhoffRun) -> Trajectory:
     return solve_modes(coeff, run.basis, run.initial.position, run.initial.velocity, run.grid)
 
 
-def induced_speed(coeff: CoefficientPath, run: KirchhoffRun) -> CoefficientPath:
-    """Map a speed to the speed induced by the linear solution it generates.
+def _induced(coeff: CoefficientPath, run: KirchhoffRun):
+    """The induced-speed map: only the live modes, those with nonzero data, march, under the
+    full basis's guard.  Returns the live indices, their rows (V, W), D(t) and sqrt(1 + D)."""
+    init, lam, grid = run.initial, run.basis.eigenvalues, run.grid
+    _check_guard(float(np.max(coeff.values)), float(lam[-1]), grid)
+    live = np.flatnonzero((init.position != 0.0) | (init.velocity != 0.0))
+    V, W = _rk4_modes(coeff, lam[live], init.position[live], init.velocity[live], grid)
+    Trajectory._check_finite(V, W)
+    D = Trajectory._dirichlet_of(lam[live], V)
+    return live, V, W, D, CoefficientPath(grid, np.sqrt(1.0 + D))
 
-    Solves every mode with ``coeff`` and returns sqrt(1 + D(t)) sampled on the
-    run grid, D being the Dirichlet energy of the solution.
-    """
-    return CoefficientPath(run.grid, _sweep(coeff, run).induced_speed_series())
+
+def induced_speed(coeff: CoefficientPath, run: KirchhoffRun) -> CoefficientPath:
+    """sqrt(1 + D(t)) on the run grid, D the Dirichlet energy of the linear solution that
+    ``coeff`` generates: the map that each fixed-point iterate applies."""
+    return _induced(coeff, run)[-1]
 
 
 def fixed_point_solve(
@@ -113,29 +122,25 @@ def fixed_point_solve(
     d0 = dirichlet_energy(run.initial)
     if not math.isfinite(d0):
         raise RangeOverflowError(_D_OVERFLOW)
-    init, lam, grid = run.initial, run.basis.eigenvalues, run.grid
-    live = np.flatnonzero((init.position != 0.0) | (init.velocity != 0.0))
-    coeff = CoefficientPath.constant(math.sqrt(1.0 + d0), grid)
+    coeff = CoefficientPath.constant(math.sqrt(1.0 + d0), run.grid)
     distances: list[float] = []
     for _ in range(max_iter):
-        _check_guard(float(np.max(coeff.values)), float(lam[-1]), grid)  # the full basis's guard
-        V, W = (_rk4_modes(coeff, lam[live], init.position[live], init.velocity[live], grid)
-                if live.size else np.zeros((2, 0, grid.size)))  # only the live modes march
-        Trajectory._check_finite(V, W)
-        D = Trajectory._dirichlet_of(lam[live], V)
-        new_values = np.sqrt(1.0 + D)
-        d = float(np.max(np.abs(new_values - coeff.values)))
-        distances.append(d)
-        coeff = CoefficientPath(grid, new_values)
-        if d < tol:
+        live, V, W, D, new = _induced(coeff, run)
+        distances.append(float(np.max(np.abs(new.values - coeff.values))))
+        coeff = new
+        if distances[-1] < tol:
             break
-    V, W = _scatter(init.position, init.velocity, live, V, W)
+    # the full layout, once: the data, signed zeros kept, then +0.0 outside the live rows
+    S = np.zeros((2, run.grid.size, run.basis.count))
+    S[:, 0] = run.initial.position, run.initial.velocity
+    S[0, 1:, live], S[1, 1:, live] = V[:, 1:], W[:, 1:]
+    S.setflags(write=False)
     return FixedPointReport(
         iterations=len(distances),
         distances=tuple(distances),
         converged=distances[-1] < tol,
         final_coeff=coeff,
-        final_solution=Trajectory(run.basis, grid, V, W, _dirichlet=D),
+        final_solution=Trajectory(run.basis, run.grid, S[0].T, S[1].T, _dirichlet=D),
     )
 
 

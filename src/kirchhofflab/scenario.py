@@ -207,7 +207,8 @@ def _parse_initial(doc, count: int, s: float, path: str):
             )
         mu = np.arange(1, count + 1, dtype=float)
         mask = (mu >= lo_m) & (mu <= hi_m)
-        position = np.where(mask, amp * np.exp(-decay * mu ** (1.0 / s)), 0.0)
+        with np.errstate(over="ignore"):  # a decay past the double range: exp(-inf) = 0
+            position = np.where(mask, amp * np.exp(-decay * mu ** (1.0 / s)), 0.0)
     return position, velocity
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RangeOverflowError
+from .errors import RangeOverflowError, _NonFiniteError
 
 # Largest natural log whose exp is representable in a double.
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -165,14 +165,15 @@ def gevrey_norm(coeffs, basis: ModeBasis, gp: GevreyParams, sigma: float = 0.0) 
     if not nz.any():
         return 0.0
     mu = basis.frequencies[nz]
-    log_terms = (
-        gp.eta * mu ** (1.0 / gp.s)
-        + 2.0 * sigma * np.log(mu)
-        + 2.0 * np.log(np.abs(c[nz]))
-    )
+    with np.errstate(over="ignore"):  # a weight past the double range: its log term is inf
+        log_terms = (
+            gp.eta * mu ** (1.0 / gp.s)
+            + sigma * (2.0 * np.log(mu))  # not 2*sigma, which may overflow: inf * log(1) is nan
+            + 2.0 * np.log(np.abs(c[nz]))
+        )
     top = float(log_terms.max())
-    log_sq = top + math.log(float(np.sum(np.exp(log_terms - top))))
-    if log_sq > 2.0 * _LOG_MAX:
+    log_sq = top + math.log(float(np.sum(np.exp(log_terms - top)))) if top < math.inf else top
+    if not log_sq <= 2.0 * _LOG_MAX:  # a nan log value is refused as well
         raise RangeOverflowError(
             f"weighted norm overflows double range (log value {0.5 * log_sq:.6g})",
             log_value=0.5 * log_sq,
@@ -257,7 +258,7 @@ class Trajectory:
     @staticmethod
     def _check_finite(position, velocity) -> None:
         if not (np.all(np.isfinite(position)) and np.all(np.isfinite(velocity))):
-            raise ValueError("trajectory entries must be finite")
+            raise _NonFiniteError("trajectory entries must be finite")
 
     @staticmethod
     def _dirichlet_of(eigenvalues, position) -> np.ndarray:
@@ -303,8 +304,10 @@ class Trajectory:
         range; all-zero samples have norm 0.
         """
         mu = self.basis.frequencies
-        log_w = gp.eta * mu ** (1.0 / gp.s)  # as gevrey_norm rounds them, sigma = 3/2 and 1/2
-        log_w = np.concatenate((log_w + 3.0 * np.log(mu), log_w + np.log(mu)))
+        with np.errstate(over="ignore"):  # as gevrey_norm rounds them, sigma = 3/2 and 1/2
+            log_w = gp.eta * mu ** (1.0 / gp.s)
+            log_w = np.concatenate((log_w + 3.0 * np.log(mu), log_w + np.log(mu)))
+        log_w = np.minimum(log_w, np.finfo(float).max)  # so zero data still weighs 0
         top_w = log_w.max()
         w = np.exp(log_w - top_w)
         scaled = w.min() >= np.finfo(float).tiny  # every scaled weight is a normal double

@@ -33,9 +33,11 @@ from kirchhofflab import (
 from kirchhofflab.certificate import _M_MARGIN
 from kirchhofflab.cli import _build_run
 from kirchhofflab.linear import GUARD
+from kirchhofflab.nonlinear import _induced
 from kirchhofflab.scenario import load_scenario
 
 from conftest import SCENARIO_DIR
+from test_linear import full_march, sparse_sweep_cases
 
 GP = GevreyParams(s=2.0, eta=2.0)
 
@@ -182,6 +184,16 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def many_live_run():
+    """48 modes, 7 of them live, 3 of those with a velocity."""
+    rng = np.random.default_rng(13)
+    pos, vel = np.zeros(48), np.zeros(48)
+    live = rng.choice(48, 7, replace=False)
+    pos[live] = rng.uniform(-0.02, 0.02, 7) / (1.0 + live)
+    vel[live[:3]] = rng.uniform(-0.02, 0.02, 3)
+    return make_run(pos, velocities=vel, steps=2000)
+
+
 def assert_one_d(report):
     """coefficient.csv's c and trajectory.csv's induced_speed come from one D(t)."""
     assert same_bits(report.final_coeff.values, report.final_solution.induced_speed_series())
@@ -197,14 +209,27 @@ class TestLiveModeIterate:
 
     def test_many_live_modes_carry_one_d(self):
         # D summed over 7 live rows rounds differently from the 48-row product
-        rng = np.random.default_rng(13)
-        pos, vel = np.zeros(48), np.zeros(48)
-        live = rng.choice(48, 7, replace=False)
-        pos[live] = rng.uniform(-0.02, 0.02, 7) / (1.0 + live)
-        vel[live[:3]] = rng.uniform(-0.02, 0.02, 3)
-        report = fixed_point_solve(make_run(pos, velocities=vel, steps=2000), tol=1e-12)
+        report = fixed_point_solve(many_live_run(), tol=1e-12)
         assert report.converged
         assert_one_d(report)
+
+    def test_induced_speed_is_the_first_iterate(self):
+        # one map: induced_speed forms D from the same 7 live rows as every iterate
+        run = many_live_run()
+        start = CoefficientPath.constant(math.sqrt(1.0 + dirichlet_energy(run.initial)), run.grid)
+        first = fixed_point_solve(run, max_iter=1).final_coeff
+        assert same_bits(first.values, induced_speed(start, run).values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_sweep_cases())
+    def test_marched_rows_match_a_full_march(self, case):
+        basis, coeff, pos, vel, grid = case
+        run = KirchhoffRun(basis, SpectralState(basis, pos, vel), grid[-1], GP, grid)
+        live, V, W, _, _ = _induced(coeff, run)
+        if live.size == 1:  # one column alone goes through matrix-vector BLAS
+            return
+        fullV, fullW = full_march(coeff, basis.eigenvalues, pos, vel, grid)
+        assert same_bits(V, fullV[live]) and same_bits(W, fullW[live])
 
     def test_guard_uses_the_full_basis(self):
         # data in mode 1 only: dt = 0.05 passes mu = 1 and fails mu = 64

@@ -310,6 +310,11 @@ class TestCliExitCodes:
             ),
             ("certify", "certify-pass", {"gevrey.s": 1e300}, EXIT_USAGE),
             ("fixedpoint", "two-mode", {"initial.velocity": [1e200]}, EXIT_AUDIT_FAILED),
+            # lambda^2 * x overflows inside the march, though D(0) and the guard are finite
+            ("fixedpoint", "two-mode",
+             {"initial": {"position": [0.1, 0.05], "velocity": [0, 1e308]}}, EXIT_AUDIT_FAILED),
+            ("linear-audit", "linear-audit", {"initial": {"position": [0, 1e308]}},
+             EXIT_AUDIT_FAILED),
             ("simulate", "linear-audit", {}, EXIT_USAGE),  # graded grid
             ("fixedpoint", "linear-audit", {}, EXIT_USAGE),
         ],
@@ -556,10 +561,19 @@ ESCAPES = [
     pytest.param("linear-audit", "linear-audit",
                  {"options.manufactured.q": 1.001, "options.manufactured.amplitude": 0},
                  EXIT_OK, "", id="freeze-time-power-overflows"),
+    pytest.param("simulate", "band-limited-n16", {"initial.family.decay": sys.float_info.max},
+                 EXIT_OK, "", id="family-decay-overflows"),
+    pytest.param("simulate", "band-limited-n16", {"gevrey.eta": sys.float_info.max},
+                 EXIT_AUDIT_FAILED, "weighted norm", id="gevrey-weight-overflows"),
+    pytest.param("linear-audit", "linear-audit", {"options.sigma": sys.float_info.max},
+                 EXIT_AUDIT_FAILED, "weighted norm", id="sobolev-weight-overflows"),
+    pytest.param("simulate", "zero-data", {"gevrey.eta": sys.float_info.max}, EXIT_OK, "",
+                 id="zero-data-weight-overflows"),
 ]
 
 # Replacement values of the CLI fuzz: the double range's edges, huge ints, wrong types.
-FUZZ_VALUES = [0, -1, 1e300, -1e300, 1e-300, 5e-324, 2**40, 1.5, "x", None, True]
+FUZZ_VALUES = [0, -1, 1e300, -1e300, sys.float_info.max, 1e-300, 5e-324, 2**40, 1.5, "x", None,
+               True]
 SHIPPED = sorted(p.stem for p in SCENARIO_DIR.glob("*.json"))
 
 
@@ -574,12 +588,23 @@ def _paths(node, path=()):
 
 @st.composite
 def mutated_scenarios(draw):
-    """A shipped scenario with one number replaced by a fuzz value, or one key dropped."""
+    """A shipped scenario with one number replaced by a fuzz value, one key dropped, or
+    a fuzz value put at any mode of its initial position (in place of a family) or velocity."""
     doc = json.loads(scenario_path(draw(st.sampled_from(SHIPPED))).read_text())
+    kind = draw(st.sampled_from(["drop", "number", "mode"]))
+    if kind == "mode":
+        initial, key = doc["initial"], draw(st.sampled_from(["position", "velocity"]))
+        k = draw(st.integers(0, doc["basis"]["count"] - 1))
+        listed = initial.get(key, [])
+        initial[key] = listed + [0.0] * (k + 1 - len(listed))
+        initial[key][k] = draw(st.sampled_from(FUZZ_VALUES))
+        if key == "position":
+            initial.pop("family", None)
+        return doc
     paths = list(_paths(doc))
     keys = [p for p, _ in paths if isinstance(p[-1], str)]
     numbers = [p for p, is_number in paths if is_number]
-    drop = draw(st.booleans())
+    drop = kind == "drop"
     *parents, last = draw(st.sampled_from(keys if drop else numbers))
     node = doc
     for part in parents:

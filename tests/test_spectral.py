@@ -1,5 +1,6 @@
 """Norms, energies and state containers."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -166,6 +167,12 @@ class TestGevreyNorm:
         with pytest.raises(RangeOverflowError) as err:
             gevrey_norm([1.0], ModeBasis.interval_dirichlet(1), gp)
         assert err.value.log_value == pytest.approx(1000.0)
+
+    def test_weight_past_the_double_range_is_reported(self):
+        gp = GevreyParams(s=2.0, eta=sys.float_info.max)
+        with pytest.raises(RangeOverflowError) as err:
+            gevrey_norm([1e-300, 1.0], ModeBasis.interval_dirichlet(2), gp)
+        assert err.value.log_value == math.inf
 
     def test_huge_weight_with_tiny_coefficient_is_fine(self):
         # e^900 alone overflows, but the term with c = 1e-250 does not
@@ -392,3 +399,14 @@ class TestTrajectory:
         assert err.value.log_value > math.log(np.finfo(float).max)
         with pytest.raises(RangeOverflowError):
             state_gevrey_norm(traj.state_at(1), gp)
+
+    def test_state_norm_series_with_weights_past_the_double_range(self):
+        # eta * mu^(1/s) itself overflows: zero samples still have norm 0, others overflow
+        gp = GevreyParams(2.0, sys.float_info.max)
+        pos = np.zeros((4, 3))
+        traj = Trajectory(basis(4), [0.0, 0.5, 1.0], pos, pos)
+        assert np.all(traj.state_gevrey_series(gp) == 0.0)
+        pos[3, 1] = 1e-300
+        traj = Trajectory(basis(4), [0.0, 0.5, 1.0], pos, np.zeros((4, 3)))
+        with pytest.raises(RangeOverflowError):
+            traj.state_gevrey_series(gp)

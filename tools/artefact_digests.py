@@ -7,7 +7,10 @@ Usage, from anywhere:
 Imports ``kirchhofflab`` from ``CHECKOUT/src`` and runs ``cli.main`` in this
 process on each shipped scenario of ``CHECKOUT/scenarios`` and on each
 benchmark cell that ``CHECKOUT/perfbench/workloads.py`` generates for seeds
-1 and 7919, under every command, with ``--workers N``.  Prints one JSON line
+1 and 7919, under every command, with ``--workers N``.  Then it runs each
+shipped scenario with the largest double at its top mode's velocity, and
+separately at its top mode's position, to show how out-of-range data ends
+(family data is written out as explicit lists first).  Prints one JSON line
 per run: the input, the command, the exit code, stdout, stderr, the text of
 each warning and of an exception that escaped ``main``, and the sha256 of each
 artefact.  Runs go in a temporary directory with relative paths, so two
@@ -37,18 +40,31 @@ SEEDS = (1, 7919)
 COMMANDS = ("simulate", "fixedpoint", "linear-audit", "certify", "norms")
 
 
-def _inputs(checkout: Path, into: Path) -> list[Path]:
+def _out_of_range(name: str, doc: dict, scenario) -> list[tuple[Path, dict]]:
+    """``doc`` with the largest double at its top mode's velocity, then at its position."""
+    scn = scenario.parse_scenario(doc, name)
+    variants = []
+    for key in ("velocity", "position"):
+        initial = {"position": scn.position.tolist(), "velocity": scn.velocity.tolist()}
+        initial[key][-1] = sys.float_info.max
+        variants.append((Path(f"top-{key}") / name, dict(doc, initial=initial)))
+    return variants
+
+
+def _inputs(checkout: Path, into: Path, scenario) -> list[Path]:
     """Write every input scenario under ``into``; returns their paths relative to it."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", checkout / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    docs = [(Path("shipped") / p.name, json.loads(p.read_text(encoding="utf-8")))
-            for p in sorted((checkout / "scenarios").glob("*.json"))]
+    shipped = sorted((checkout / "scenarios").glob("*.json"))
+    docs = [(Path("shipped") / p.name, json.loads(p.read_text(encoding="utf-8"))) for p in shipped]
     for seed in SEEDS:
         for workload in workloads.WORKLOADS:
             for doc in workloads.scenarios(workload, seed):
                 docs.append((Path(f"seed{seed}") / workload / f"{doc['name']}.json", doc))
+    for rel, doc in docs[:len(shipped)]:
+        docs += _out_of_range(rel.name, doc, scenario)
     for rel, doc in docs:
         (into / rel).parent.mkdir(parents=True, exist_ok=True)
         (into / rel).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -92,6 +108,7 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(checkout / "src"))
     import kirchhofflab.cli as cli
+    import kirchhofflab.scenario as scenario
 
     if Path(cli.__file__).resolve().parent != checkout / "src" / "kirchhofflab":
         sys.exit(f"imported kirchhofflab from {cli.__file__}, not from {checkout}")
@@ -100,7 +117,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for config in _inputs(checkout, Path(tmp)):
+            for config in _inputs(checkout, Path(tmp), scenario):
                 for command in COMMANDS:
                     result = _run(cli, command, config, Path("out"), args.workers)
                     print(json.dumps(result, sort_keys=True), flush=True)
