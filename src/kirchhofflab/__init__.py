@@ -44,7 +44,6 @@ from .linear import (
     approximate_energy,
     decay_integral,
     decay_integral_bound,
-    decay_rate,
     eta_prime,
     mode_trajectory,
     radius_loss,

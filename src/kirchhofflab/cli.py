@@ -240,8 +240,7 @@ def _write_csvs(jobs: list[tuple], workers: int) -> None:
 
 
 def cmd_linear_audit(scn: Scenario) -> tuple:
-    if scn.manufactured is None:
-        raise ScenarioError(f"{scn.name}: linear-audit requires options.manufactured")
+    speed = scn.build_speed()
     if scn.grading_ratio is None:
         raise ScenarioError(f"{scn.name}: the manufactured speed is undefined at the horizon; "
                             "linear-audit needs a graded grid")
@@ -250,7 +249,6 @@ def cmd_linear_audit(scn: Scenario) -> tuple:
     grid = scn.build_grid()
     check_bound(scn.name, "audit CSV rows, basis.count x grid points", basis.count * grid.size,
                 MAX_AUDIT_ROWS)
-    speed = scn.build_speed()
     coeff = speed.sample(grid)
     cls = AdmissibleClass(q=m.q, M=m.M, K0=m.amplitude, T=scn.horizon, m0=m.m0)
     problem = LinearProblem(

@@ -246,22 +246,6 @@ def regularized_speed(
     return float(_regularized_speeds(coeff, np.array([float(t)]), mu, cls, s)[0])
 
 
-def decay_rate(
-    coeff: CoefficientPath, t: float, mu: float, cls: AdmissibleClass, s: float
-) -> float:
-    """Rate 2*(M/m0)*|c_reg - c|*mu + 2*|c_reg'|/c_reg of the energy weight.
-
-    On branches where the regularised speed is constant only the first term
-    survives; where it follows the speed only the slope term does.  The slope
-    is the path's piecewise value (left limit at sample points).
-    """
-    c_reg = regularized_speed(coeff, t, mu, cls, s)
-    low, t_f = _freeze_time(mu, cls, s)
-    if not low and t <= t_f:
-        return 2.0 * abs(coeff.slope(t)) / c_reg
-    return 2.0 * cls.M / cls.m0 * abs(c_reg - coeff.evaluate(t)) * mu
-
-
 def decay_integral_bound(mu: float, cls: AdmissibleClass, s: float) -> float:
     """A-priori bound on the decay-rate integral over [0, T] for one mode.
 
@@ -347,7 +331,7 @@ def approximate_energy(
     mu = traj.mu
     c_reg = _regularized_speeds(coeff, coeff.times, mu, cls, gp.s)
     acc = _decay_cumulative(coeff, traj.times, mu, cls, gp.s)
-    exponent = -acc + gp.eta * mu ** (1.0 / gp.s) + 2.0 * (sigma - 1.0) * math.log(mu)
+    exponent = -acc + gp.eta * mu ** (1.0 / gp.s) + (sigma - 1.0) * (2.0 * math.log(mu))
     if float(np.max(exponent)) > _LOG_MAX:
         raise RangeOverflowError(
             "energy weight overflows double range",
@@ -424,13 +408,13 @@ def verify_energy_bound(problem: LinearProblem, traj: Trajectory) -> EnergyBound
     init = problem.initial
     data_sq = _data_norm_sq(init.position, init.velocity, problem.basis, gp, sigma, "data norm")
 
-    with np.errstate(over="raise"):
-        try:
-            w = np.exp(ep * mu ** (1.0 / s))
-        except FloatingPointError as exc:
-            raise RangeOverflowError("audit weight overflows double range") from exc
-    w_pos = w * mu ** (2.0 * sigma)
-    w_vel = w * mu ** (2.0 * (sigma - 1.0))
+    # 2*sigma itself may overflow, and mu ** inf is inf without an overflow flag
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(ep * mu ** (1.0 / s))
+        w_pos = w * mu ** (2.0 * sigma)
+        w_vel = w * mu ** (2.0 * (sigma - 1.0))
+    if not (np.isfinite(w_pos).all() and np.isfinite(w_vel).all()):
+        raise RangeOverflowError("audit weight overflows double range")
     lhs = cls.m0**2 * (w_pos @ traj.position**2) + w_vel @ traj.velocity**2
 
     if data_sq == 0.0:

@@ -79,11 +79,6 @@ class FixedPointReport:
             raise ValueError("distances must be nonnegative")
 
 
-def _sweep(coeff: CoefficientPath, run: KirchhoffRun) -> Trajectory:
-    """Solve every mode of ``run``'s data with the speed ``coeff``."""
-    return solve_modes(coeff, run.basis, run.initial.position, run.initial.velocity, run.grid)
-
-
 def _induced(coeff: CoefficientPath, run: KirchhoffRun):
     """The induced-speed map: only the live modes, those with nonzero data, march, under the
     full basis's guard.  Returns the live indices, their rows (V, W), D(t) and sqrt(1 + D)."""
@@ -307,8 +302,9 @@ def perturbation_probe(
                     f"slope {report.worst_slope_margin:.3g})"
                 )
 
-    base = _sweep(coeff, run)
-    shifted = _sweep(pert, run)
+    init = run.initial
+    base = solve_modes(coeff, run.basis, init.position, init.velocity, run.grid)
+    shifted = solve_modes(pert, run.basis, init.position, init.velocity, run.grid)
     dv = shifted.position - base.position
     dw = shifted.velocity - base.velocity
     lam = run.basis.eigenvalues

@@ -85,9 +85,7 @@ class Scenario:
 
     def build_speed(self) -> OscillatingSpeed:
         if self.manufactured is None:
-            raise ScenarioError(
-                f"scenario {self.name!r}: options.manufactured is required here"
-            )
+            raise ScenarioError(f"{self.name}: linear-audit requires options.manufactured")
         m = self.manufactured
         return OscillatingSpeed(
             q=m.q, T=self.horizon, amplitude=m.amplitude, offset=m.offset
@@ -98,22 +96,33 @@ def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")
 
 
-def _get_map(doc, path: str) -> dict:
+_REQUIRED = object()  # the default of a field that must be present
+
+
+def _section(doc, path: str, allowed: set[str]) -> dict:
+    """``doc`` as the object at ``path``, refused if it holds a key outside ``allowed``."""
     if not isinstance(doc, dict):
         _fail(path, "expected an object")
-    return doc
-
-
-def _check_keys(doc: dict, allowed: set[str], path: str) -> None:
     unknown = sorted(set(doc) - allowed)
     if unknown:
         _fail(path, f"unknown field {unknown[0]!r}")
+    return doc
 
 
-def _require(doc: dict, key: str, path: str):
+def _field(doc: dict, path: str, key: str, check, default=_REQUIRED, **bounds):
+    """Field ``key`` of the object ``doc`` at ``path``: ``check(value, f"{path}.{key}", **bounds)``.
+
+    Without a default an absent field is refused; with one it reads as the default,
+    unchecked.  Where the default is None, an explicit null reads as absent too.
+    """
     if key not in doc:
-        _fail(path, f"missing required field {key!r}")
-    return doc[key]
+        if default is _REQUIRED:
+            _fail(path, f"missing required field {key!r}")
+        return default
+    value = doc[key]
+    if value is None and default is None:
+        return None
+    return check(value, f"{path}.{key}", **bounds)
 
 
 def _number(value, path: str, *, lo=None, hi=None, strict_lo=False) -> float:
@@ -136,6 +145,19 @@ def _integer(value, path: str, *, lo: int, hi: int | None = None) -> int:
         _fail(path, f"must be >= {lo}, got {value}")
     if hi is not None and value > hi:
         _fail(path, f"must be <= {hi}, got {value}")
+    return value
+
+
+def _choice(value, path: str, *, choices: tuple,
+            message="expected one of {choices}, got {value!r}"):
+    if value not in choices:
+        _fail(path, message.format(choices=choices, value=value))
+    return value
+
+
+def _name(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        _fail(path, "expected a nonempty string")
     return value
 
 
@@ -167,44 +189,40 @@ def _number_list(value, path: str) -> list[float]:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _parse_initial(doc, count: int, s: float, path: str):
-    doc = _get_map(doc, path)
-    _check_keys(doc, {"position", "velocity", "family"}, path)
-    if "family" not in doc and "position" not in doc and "velocity" not in doc:
+def _mode_data(value, path: str, *, count: int) -> np.ndarray:
+    """A list of at most ``count`` mode coefficients, zero-padded to ``count``."""
+    listed = _number_list(value, path)
+    if len(listed) > count:
+        _fail(path, f"has {len(listed)} entries but the basis has {count} modes")
+    out = np.zeros(count)
+    out[: len(listed)] = listed
+    return out
+
+
+def _mode_range(value, path: str, *, count: int) -> list[int]:
+    if (not isinstance(value, list) or len(value) != 2
+            or not all(isinstance(m, int) and not isinstance(m, bool) for m in value)):
+        _fail(path, "expected [first, last] mode numbers")
+    if not 1 <= value[0] <= value[1] <= count:
+        _fail(path, f"range [{value[0]}, {value[1]}] invalid for a basis of {count} modes")
+    return value
+
+
+def _initial(doc, path: str, *, count: int, s: float):
+    """Initial (position, velocity): mode lists, or a family profile for the position."""
+    doc = _section(doc, path, {"position", "velocity", "family"})
+    if not doc:
         _fail(path, "needs 'position'/'velocity' lists or a 'family' block")
-
-    def fill(key):
-        listed = _number_list(doc[key], f"{path}.{key}") if key in doc else []
-        if len(listed) > count:
-            _fail(f"{path}.{key}", f"has {len(listed)} entries but the basis has {count} modes")
-        out = np.zeros(count)
-        out[: len(listed)] = listed
-        return out
-
-    position = fill("position")
-    velocity = fill("velocity")
+    position = _field(doc, path, "position", _mode_data, np.zeros(count), count=count)
+    velocity = _field(doc, path, "velocity", _mode_data, np.zeros(count), count=count)
     if "family" in doc:
         if "position" in doc:
             _fail(path, "give either 'position' or 'family', not both")
-        fam = _get_map(doc["family"], f"{path}.family")
-        _check_keys(fam, {"amplitude", "decay", "modes"}, f"{path}.family")
-        amp = _number(_require(fam, "amplitude", f"{path}.family"), f"{path}.family.amplitude")
-        decay = _number(
-            _require(fam, "decay", f"{path}.family"), f"{path}.family.decay", lo=0.0
-        )
-        modes = _require(fam, "modes", f"{path}.family")
-        if (
-            not isinstance(modes, list)
-            or len(modes) != 2
-            or not all(isinstance(m, int) and not isinstance(m, bool) for m in modes)
-        ):
-            _fail(f"{path}.family.modes", "expected [first, last] mode numbers")
-        lo_m, hi_m = modes
-        if not 1 <= lo_m <= hi_m <= count:
-            _fail(
-                f"{path}.family.modes",
-                f"range [{lo_m}, {hi_m}] invalid for a basis of {count} modes",
-            )
+        fam = _field(doc, path, "family", _section, allowed={"amplitude", "decay", "modes"})
+        fp = f"{path}.family"
+        amp = _field(fam, fp, "amplitude", _number)
+        decay = _field(fam, fp, "decay", _number, lo=0.0)
+        lo_m, hi_m = _field(fam, fp, "modes", _mode_range, count=count)
         mu = np.arange(1, count + 1, dtype=float)
         mask = (mu >= lo_m) & (mu <= hi_m)
         with np.errstate(over="ignore"):  # a decay past the double range: exp(-inf) = 0
@@ -212,107 +230,71 @@ def _parse_initial(doc, count: int, s: float, path: str):
     return position, velocity
 
 
+def _manufactured(doc, path: str) -> ManufacturedSpec:
+    doc = _section(doc, path, {"q", "amplitude", "offset", "m0", "M"})
+    spec = ManufacturedSpec(
+        q=_field(doc, path, "q", _number, lo=1.0, strict_lo=True),
+        amplitude=_field(doc, path, "amplitude", _number, lo=0.0),
+        offset=_field(doc, path, "offset", _number, lo=1.0),
+        m0=_field(doc, path, "m0", _number, 1.0, lo=0.0, strict_lo=True),
+        M=_field(doc, path, "M", _number, lo=0.0, strict_lo=True),
+    )
+    if spec.m0 > spec.M:
+        _fail(f"{path}.m0", f"must be <= M = {spec.M}, got {spec.m0}")
+    return spec
+
+
 def parse_scenario(doc, source: str = "scenario") -> Scenario:
-    doc = _get_map(doc, source)
-    _check_keys(
-        doc,
-        {"name", "command", "basis", "initial", "gevrey", "horizon", "grid", "options"},
-        source,
-    )
-    name = _require(doc, "name", source)
-    if not isinstance(name, str) or not name:
-        _fail(f"{source}.name", "expected a nonempty string")
+    doc = _section(doc, source, {"name", "command", "basis", "initial", "gevrey", "horizon",
+                                 "grid", "options"})
+    name = _field(doc, source, "name", _name)
+    command = _field(doc, source, "command", _choice, None, choices=COMMANDS,
+                     message="unknown command {value!r}")
 
-    command = doc.get("command")
-    if command is not None and command not in COMMANDS:
-        _fail(f"{source}.command", f"unknown command {command!r}")
+    basis = _field(doc, source, "basis", _section, allowed={"kind", "count"})
+    kind = _field(basis, f"{source}.basis", "kind", _choice, choices=BASIS_KINDS)
+    count = _field(basis, f"{source}.basis", "count", _integer, lo=1, hi=MAX_MODES)
 
-    basis = _get_map(_require(doc, "basis", source), f"{source}.basis")
-    _check_keys(basis, {"kind", "count"}, f"{source}.basis")
-    kind = _require(basis, "kind", f"{source}.basis")
-    if kind not in BASIS_KINDS:
-        _fail(f"{source}.basis.kind", f"expected one of {BASIS_KINDS}, got {kind!r}")
-    count = _integer(
-        _require(basis, "count", f"{source}.basis"), f"{source}.basis.count", lo=1, hi=MAX_MODES
-    )
-
-    gev = _get_map(_require(doc, "gevrey", source), f"{source}.gevrey")
-    _check_keys(gev, {"s", "eta"}, f"{source}.gevrey")
-    s = _number(_require(gev, "s", f"{source}.gevrey"), f"{source}.gevrey.s", lo=1.0, strict_lo=True)
+    gev = _field(doc, source, "gevrey", _section, allowed={"s", "eta"})
+    s = _field(gev, f"{source}.gevrey", "s", _number, lo=1.0, strict_lo=True)
     if not 1.0 + 1.0 / s > 1.0:
         _fail(f"{source}.gevrey.s", f"too large: q = 1 + 1/s rounds to 1, got {s}")
-    eta = _number(
-        _require(gev, "eta", f"{source}.gevrey"), f"{source}.gevrey.eta", lo=0.0, strict_lo=True
-    )
+    eta = _field(gev, f"{source}.gevrey", "eta", _number, lo=0.0, strict_lo=True)
 
-    horizon = _number(_require(doc, "horizon", source), f"{source}.horizon", lo=0.0, strict_lo=True)
+    horizon = _field(doc, source, "horizon", _number, lo=0.0, strict_lo=True)
 
-    grid = _get_map(_require(doc, "grid", source), f"{source}.grid")
-    _check_keys(grid, {"steps", "grading_ratio", "end_gap"}, f"{source}.grid")
-    steps = _integer(_require(grid, "steps", f"{source}.grid"), f"{source}.grid.steps", lo=1)
-    grading = grid.get("grading_ratio")
-    if grading is not None:
-        grading = _number(grading, f"{source}.grid.grading_ratio", lo=0.0, strict_lo=True)
-        if grading >= 1.0:
-            _fail(f"{source}.grid.grading_ratio", f"must lie in (0, 1), got {grading}")
-    end_gap = _number(grid.get("end_gap", 1e-9), f"{source}.grid.end_gap", lo=0.0, strict_lo=True)
+    gp = f"{source}.grid"
+    grid = _field(doc, source, "grid", _section, allowed={"steps", "grading_ratio", "end_gap"})
+    steps = _field(grid, gp, "steps", _integer, lo=1)
+    grading = _field(grid, gp, "grading_ratio", _number, None, lo=0.0, strict_lo=True)
+    if grading is not None and grading >= 1.0:
+        _fail(f"{gp}.grading_ratio", f"must lie in (0, 1), got {grading}")
+    end_gap = _field(grid, gp, "end_gap", _number, 1e-9, lo=0.0, strict_lo=True)
     if ("end_gap" in grid or grading is not None) and not 0.0 < horizon - end_gap < horizon:
-        _fail(f"{source}.grid.end_gap", f"need 0 < horizon - end_gap < horizon, got {end_gap}")
+        _fail(f"{gp}.end_gap", f"need 0 < horizon - end_gap < horizon, got {end_gap}")
     points = _grid_points(steps, horizon, grading, end_gap)
-    check_bound(f"{source}.grid", "points (upper estimate)", points, MAX_POINTS)
+    check_bound(gp, "points (upper estimate)", points, MAX_POINTS)
     check_bound(source, "basis.count x grid points", count * points, MAX_MODE_SAMPLES)
 
-    position, velocity = _parse_initial(_require(doc, "initial", source), count, s, f"{source}.initial")
+    position, velocity = _field(doc, source, "initial", _initial, count=count, s=s)
 
-    opts = _get_map(doc.get("options", {}), f"{source}.options")
-    _check_keys(
-        opts,
-        {"tol", "max_iter", "sigma", "M", "deltas", "manufactured"},
-        f"{source}.options",
-    )
-    tol = check_tol(opts.get("tol", 1e-10), f"{source}.options.tol")
-    max_iter = _integer(opts.get("max_iter", 30), f"{source}.options.max_iter", lo=1, hi=MAX_ITER)
-    work = count * points * max_iter
-    check_bound(source, "basis.count x grid points x options.max_iter", work, MAX_ITER_MODE_SAMPLES)
-    sigma = _number(opts.get("sigma", 1.0), f"{source}.options.sigma", lo=1.0)
-    m_choice = opts.get("M")
-    if m_choice is not None:
-        m_choice = _number(m_choice, f"{source}.options.M", lo=0.0, strict_lo=True)
-    deltas = tuple(_number_list(opts.get("deltas", []), f"{source}.options.deltas"))
-
-    manufactured = None
-    if "manufactured" in opts:
-        man = _get_map(opts["manufactured"], f"{source}.options.manufactured")
-        _check_keys(man, {"q", "amplitude", "offset", "m0", "M"}, f"{source}.options.manufactured")
-        mp = f"{source}.options.manufactured"
-        manufactured = ManufacturedSpec(
-            q=_number(_require(man, "q", mp), f"{mp}.q", lo=1.0, strict_lo=True),
-            amplitude=_number(_require(man, "amplitude", mp), f"{mp}.amplitude", lo=0.0),
-            offset=_number(_require(man, "offset", mp), f"{mp}.offset", lo=1.0),
-            m0=_number(man.get("m0", 1.0), f"{mp}.m0", lo=0.0, strict_lo=True),
-            M=_number(_require(man, "M", mp), f"{mp}.M", lo=0.0, strict_lo=True),
-        )
-        if manufactured.m0 > manufactured.M:
-            _fail(f"{mp}.m0", f"must be <= M = {manufactured.M}, got {manufactured.m0}")
+    op = f"{source}.options"
+    opt = _field(doc, source, "options", _section, {},
+                 allowed={"tol", "max_iter", "sigma", "M", "deltas", "manufactured"})
+    tol = _field(opt, op, "tol", check_tol, 1e-10)
+    max_iter = _field(opt, op, "max_iter", _integer, 30, lo=1, hi=MAX_ITER)
+    check_bound(source, "basis.count x grid points x options.max_iter",
+                count * points * max_iter, MAX_ITER_MODE_SAMPLES)
+    sigma = _field(opt, op, "sigma", _number, 1.0, lo=1.0)
+    m_choice = _field(opt, op, "M", _number, None, lo=0.0, strict_lo=True)
+    deltas = tuple(_field(opt, op, "deltas", _number_list, ()))
+    manufactured = _field(opt, op, "manufactured", _manufactured) if "manufactured" in opt else None
 
     return Scenario(
-        name=name,
-        command=command,
-        basis_kind=kind,
-        basis_count=count,
-        position=position,
-        velocity=velocity,
-        gevrey=GevreyParams(s=s, eta=eta),
-        horizon=horizon,
-        grid_steps=steps,
-        grading_ratio=grading,
-        end_gap=end_gap,
-        tol=tol,
-        max_iter=max_iter,
-        sigma=sigma,
-        m_choice=m_choice,
-        deltas=deltas,
-        manufactured=manufactured,
+        name=name, command=command, basis_kind=kind, basis_count=count, position=position,
+        velocity=velocity, gevrey=GevreyParams(s=s, eta=eta), horizon=horizon, grid_steps=steps,
+        grading_ratio=grading, end_gap=end_gap, tol=tol, max_iter=max_iter, sigma=sigma,
+        m_choice=m_choice, deltas=deltas, manufactured=manufactured,
     )
 
 

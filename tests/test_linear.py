@@ -22,7 +22,6 @@ from kirchhofflab import (
     approximate_energy,
     decay_integral,
     decay_integral_bound,
-    decay_rate,
     eta_prime,
     graded_grid,
     mode_trajectory,
@@ -358,6 +357,20 @@ class TestRegularizedSpeed:
             decay_integral_bound(mu, cls, S)
 
 
+def decay_rate(coeff, t, mu, cls, s):
+    """Reference rate 2*(M/m0)*|c_reg - c|*mu + 2*|c_reg'|/c_reg of the energy weight.
+
+    On branches where the regularised speed is constant only the first term
+    survives; where it follows the speed only the slope term does.  The slope
+    is the path's piecewise value (left limit at sample points).
+    """
+    c_reg = regularized_speed(coeff, t, mu, cls, s)
+    low, t_f = _freeze_time(mu, cls, s)
+    if not low and t <= t_f:
+        return 2.0 * abs(coeff.slope(t)) / c_reg
+    return 2.0 * cls.M / cls.m0 * abs(c_reg - coeff.evaluate(t)) * mu
+
+
 class TestDecayRate:
     def test_constant_speed_gives_zero(self):
         grid = uniform_grid(1.0, 50)
@@ -463,6 +476,15 @@ class TestApproximateEnergy:
         E = approximate_energy(mt, coeff, cls, GevreyParams(s, 1.0), sigma=1.0)
         upticks = np.diff(E) / np.maximum(E[:-1], 1e-300)
         assert float(np.max(upticks)) <= 1e-6
+
+    def test_huge_sigma_at_unit_frequency_is_finite(self):
+        # mu^(2(sigma-1)) = 1 at mu = 1: the sigma term is 0, not inf * log(1) = nan
+        grid = uniform_grid(1.0, 100)
+        coeff = CoefficientPath.constant(1.2, grid)
+        cls = AdmissibleClass(q=Q, M=1.2, K0=0.0, T=1.0)
+        mt = solve_mode(coeff, 1.0, 1.0, 0.0, grid)
+        E = approximate_energy(mt, coeff, cls, GevreyParams(S, 1.0), sigma=1e308)
+        assert np.all(np.isfinite(E)) and E[0] > 0.0
 
     def test_grid_mismatch(self):
         grid = uniform_grid(1.0, 100)

@@ -158,6 +158,14 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="missing required field 's'"):
             parse_scenario(doc)
 
+    def test_null_reads_as_absent_only_without_a_default_value(self):
+        scn = parse_scenario(minimal_doc(command=None, options={"M": None}))
+        assert scn.command is None and scn.m_choice is None
+        for options, message in [({"tol": None}, "options.tol: expected a number, got None"),
+                                 ({"manufactured": None}, "options.manufactured: expected an object")]:
+            with pytest.raises(ScenarioError, match=message):
+                parse_scenario(minimal_doc(options=options))
+
     def test_range_checks(self):
         with pytest.raises(ScenarioError, match="gevrey.s"):
             parse_scenario(minimal_doc(gevrey={"s": 1.0, "eta": 2.0}))
@@ -569,6 +577,13 @@ ESCAPES = [
                  EXIT_AUDIT_FAILED, "weighted norm", id="sobolev-weight-overflows"),
     pytest.param("simulate", "zero-data", {"gevrey.eta": sys.float_info.max}, EXIT_OK, "",
                  id="zero-data-weight-overflows"),
+    pytest.param("linear-audit", "linear-audit",
+                 {"options.sigma": 400, "initial": {"position": [1.0]}}, EXIT_AUDIT_FAILED,
+                 "audit weight overflows double range", id="audit-weight-overflows"),
+    pytest.param("linear-audit", "linear-audit",
+                 {"options.sigma": sys.float_info.max, "initial": {"position": [1.0]}},
+                 EXIT_AUDIT_FAILED, "audit weight overflows double range",
+                 id="audit-weight-order-overflows"),
 ]
 
 # Replacement values of the CLI fuzz: the double range's edges, huge ints, wrong types.
@@ -586,21 +601,23 @@ def _paths(node, path=()):
             yield from _paths(value, path + (key,))
 
 
-@st.composite
-def mutated_scenarios(draw):
-    """A shipped scenario with one number replaced by a fuzz value, one key dropped, or
-    a fuzz value put at any mode of its initial position (in place of a family) or velocity."""
-    doc = json.loads(scenario_path(draw(st.sampled_from(SHIPPED))).read_text())
-    kind = draw(st.sampled_from(["drop", "number", "mode"]))
+def _mutate(draw, doc):
+    """Drop one key of ``doc``, replace one number by a fuzz value, or put a fuzz value at
+    any mode of its initial position (in place of a family) or velocity."""
+    initial, count = doc.get("initial"), doc.get("basis", {}).get("count")
+    kinds = ["drop", "number"]
+    if isinstance(initial, dict) and type(count) is int and 1 <= count <= MAX_MODES:
+        kinds.append("mode")
+    kind = draw(st.sampled_from(kinds))
     if kind == "mode":
-        initial, key = doc["initial"], draw(st.sampled_from(["position", "velocity"]))
-        k = draw(st.integers(0, doc["basis"]["count"] - 1))
+        key = draw(st.sampled_from(["position", "velocity"]))
+        k = draw(st.integers(0, count - 1))
         listed = initial.get(key, [])
         initial[key] = listed + [0.0] * (k + 1 - len(listed))
         initial[key][k] = draw(st.sampled_from(FUZZ_VALUES))
         if key == "position":
             initial.pop("family", None)
-        return doc
+        return
     paths = list(_paths(doc))
     keys = [p for p, _ in paths if isinstance(p[-1], str)]
     numbers = [p for p, is_number in paths if is_number]
@@ -613,6 +630,14 @@ def mutated_scenarios(draw):
         del node[last]
     else:
         node[last] = draw(st.sampled_from(FUZZ_VALUES))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario with one or two mutations of :func:`_mutate`."""
+    doc = json.loads(scenario_path(draw(st.sampled_from(SHIPPED))).read_text())
+    for _ in range(draw(st.integers(1, 2))):
+        _mutate(draw, doc)
     return doc
 
 

@@ -10,10 +10,13 @@ benchmark cell that ``CHECKOUT/perfbench/workloads.py`` generates for seeds
 1 and 7919, under every command, with ``--workers N``.  Then it runs each
 shipped scenario with the largest double at its top mode's velocity, and
 separately at its top mode's position, to show how out-of-range data ends
-(family data is written out as explicit lists first).  Prints one JSON line
-per run: the input, the command, the exit code, stdout, stderr, the text of
-each warning and of an exception that escaped ``main``, and the sha256 of each
-artefact.  Runs go in a temporary directory with relative paths, so two
+(family data is written out as explicit lists first).  Last come the parse
+errors: each shipped scenario with each key dropped, with an unknown key in
+each object, and with each number replaced by ``"x"``, each run once under
+``norms``, since every command parses its scenario first.  Prints one JSON
+line per run: the input, the command, the exit code, stdout, stderr, the text
+of each warning and of an exception that escaped ``main``, and the sha256 of
+each artefact.  Runs go in a temporary directory with relative paths, so two
 checkouts print the same lines when they behave the same:
 
     diff <(python3 tools/artefact_digests.py OLD --workers 2) \\
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import hashlib
 import importlib.util
 import io
@@ -51,8 +55,46 @@ def _out_of_range(name: str, doc: dict, scenario) -> list[tuple[Path, dict]]:
     return variants
 
 
-def _inputs(checkout: Path, into: Path, scenario) -> list[Path]:
-    """Write every input scenario under ``into``; returns their paths relative to it."""
+def _paths(node, path=()):
+    """The path of every object value and list entry under ``node``, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+def _at(node, path):
+    """The value at ``path`` under ``node``."""
+    for part in path:
+        node = node[part]
+    return node
+
+
+def _malformed(name: str, doc: dict) -> list[tuple[Path, dict]]:
+    """``doc`` with each key dropped, an unknown key in each object, and each number "x"."""
+    paths = list(_paths(doc))
+    edits = [("drop", p) for p in paths if isinstance(p[-1], str)]
+    edits += [("unknown", p) for p in [(), *paths] if isinstance(_at(doc, p), dict)]
+    edits += [("text", p) for p in paths
+              if isinstance(_at(doc, p), (int, float)) and not isinstance(_at(doc, p), bool)]
+    variants = []
+    for kind, path in edits:
+        out = copy.deepcopy(doc)
+        if kind == "unknown":
+            _at(out, path)["unexpected"] = 1
+        elif kind == "drop":
+            del _at(out, path[:-1])[path[-1]]
+        else:
+            _at(out, path[:-1])[path[-1]] = "x"
+        dotted = ".".join(map(str, path)) or "root"
+        variants.append((Path(kind) / Path(name).stem / f"{dotted}.json", out))
+    return variants
+
+
+def _inputs(checkout: Path, into: Path, scenario) -> list[tuple[Path, tuple[str, ...]]]:
+    """Write every input scenario under ``into``; returns their paths relative to it, each
+    with the commands to run on it."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", checkout / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -65,10 +107,15 @@ def _inputs(checkout: Path, into: Path, scenario) -> list[Path]:
                 docs.append((Path(f"seed{seed}") / workload / f"{doc['name']}.json", doc))
     for rel, doc in docs[:len(shipped)]:
         docs += _out_of_range(rel.name, doc, scenario)
+    runs = [(rel, COMMANDS) for rel, _ in docs]
+    for rel, doc in docs[:len(shipped)]:
+        malformed = _malformed(rel.name, doc)
+        docs += malformed
+        runs += [(path, ("norms",)) for path, _ in malformed]
     for rel, doc in docs:
         (into / rel).parent.mkdir(parents=True, exist_ok=True)
         (into / rel).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return [rel for rel, _ in docs]
+    return runs
 
 
 def _run(cli, command: str, config: Path, out: Path, workers: int) -> dict:
@@ -117,8 +164,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for config in _inputs(checkout, Path(tmp), scenario):
-                for command in COMMANDS:
+            for config, commands in _inputs(checkout, Path(tmp), scenario):
+                for command in commands:
                     result = _run(cli, command, config, Path("out"), args.workers)
                     print(json.dumps(result, sort_keys=True), flush=True)
         finally:
