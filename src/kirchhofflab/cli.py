@@ -9,17 +9,17 @@ directory in one write phase and encodes the outcome in the exit status:
     2   hypothesis unmet (certificate or audit precondition failed)
     3   fixed-point iteration did not converge
     4   numerical audit failed or solver guard tripped
-    64  usage or scenario parse error, or an artefact that cannot be written
+    64  usage, scenario or work-bound error, or an artefact that cannot be written
 
 A run that fails before the write phase writes nothing, and an artefact that
 cannot be written, the report included, leaves none of the run's artefacts.
 Outputs are deterministic: no timestamps, floats rendered with shortest
-round-trip decimals, one serial mode sweep.  ``--workers`` (or
-KIRCHHOFFLAB_WORKERS; default the CPU count) is the number of processes that
-write linear-audit's mode CSVs and report, capped at the usable CPUs, at
-MAX_WORKERS and at the number of files; it is 1 where ``os.fork`` does not
-exist.  A value that is not a positive integer exits 64.  The bytes written do
-not depend on it.
+round-trip decimals, one serial mode sweep.  A run reads only its arguments,
+its scenario file and the CPU count.  ``--workers`` (default the CPU count) is
+the number of processes that write linear-audit's mode CSVs and report, capped
+at the usable CPUs, at MAX_WORKERS and at the number of files; it is 1 where
+``os.fork`` does not exist.  A value that is not a positive integer exits 64.
+The bytes written do not depend on it.
 """
 from __future__ import annotations
 
@@ -52,7 +52,8 @@ from .nonlinear import (
     direct_oracle,
     fixed_point_solve,
 )
-from .scenario import MAX_AUDIT_ROWS, Scenario, check_bound, check_tol, load_scenario
+from .scenario import (ITER_SAMPLE_MODES, MAX_AUDIT_ROWS, MAX_ITER_MODE_SAMPLES, Scenario,
+                       check_bound, check_tol, load_scenario)
 from .spectral import GevreyParams, dirichlet_energy, hamiltonian, sobolev_norm, gevrey_norm
 
 EXIT_OK = 0
@@ -61,7 +62,6 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_AUDIT_FAILED = 4
 EXIT_USAGE = 64
 
-WORKERS_ENV = "KIRCHHOFFLAB_WORKERS"
 MAX_WORKERS = 8
 
 
@@ -147,7 +147,11 @@ def cmd_simulate(scn: Scenario) -> tuple:
 
 
 def cmd_fixedpoint(scn: Scenario) -> tuple:
-    report = fixed_point_solve(_build_run(scn), tol=scn.tol, max_iter=scn.max_iter)
+    run = _build_run(scn)
+    check_bound(scn.name, f"(basis.count + {ITER_SAMPLE_MODES}) x grid points x options.max_iter",
+                (run.basis.count + ITER_SAMPLE_MODES) * run.grid.size * scn.max_iter,
+                MAX_ITER_MODE_SAMPLES)
+    report = fixed_point_solve(run, tol=scn.tol, max_iter=scn.max_iter)
     coeff = report.final_coeff
     certificate = _scenario_certificate(scn)
     job, info = _trajectory(scn, report.final_solution, certificate)
@@ -348,19 +352,16 @@ COMMANDS = {"simulate": cmd_simulate, "fixedpoint": cmd_fixedpoint,
 
 
 def _resolve_workers(flag: str | None) -> int:
-    """Writer processes: ``flag``, else the environment, else the CPU count, capped."""
-    text, source = flag, "--workers"
-    if text is None:
-        text, source = os.environ.get(WORKERS_ENV), f"environment variable {WORKERS_ENV}"
-    if text is None:
+    """Writer processes: ``flag``, else the CPU count, capped."""
+    if flag is None:
         value = os.cpu_count() or 1
     else:
         try:
-            value = int(text)
+            value = int(flag)
         except ValueError:
             value = 0
         if value < 1:
-            raise ScenarioError(f"{source} must be a positive integer, got {text!r}")
+            raise ScenarioError(f"--workers must be a positive integer, got {flag!r}")
     if not hasattr(os, "fork"):
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

@@ -166,7 +166,7 @@ def check_admissibility(
     Values must satisfy m0 - tol <= c <= M + tol; each interval's difference
     quotient must not exceed K0/(T - t_right)^q + tol.
     """
-    if tol < 0.0:
+    if not tol >= 0.0:  # nan too: every margin would read nan
         raise ValueError("tolerance must be nonnegative")
     if path.end_time > cls.T + 1e-12 * max(1.0, cls.T):
         raise ValueError(

@@ -302,8 +302,6 @@ def decay_integral(
     """Trapezoid quadrature of the decay rate over [0, t] on the path grid."""
     if t < 0.0 or t > min(cls.T, coeff.end_time) * (1.0 + 1e-12):
         raise ValueError(f"time {t} outside the integrable range")
-    if t == 0.0:
-        return 0.0
     return float(_decay_cumulative(coeff, np.array([0.0, t]), mu, cls, s)[-1])
 
 

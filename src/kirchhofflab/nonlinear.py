@@ -218,31 +218,26 @@ def check_induced_speed(
     except ZeroDivisionError:
         raise RangeOverflowError(f"horizon power T^q = {T}^{q} underflows to 0") from None
     uniform_margin = float(np.min(uniform_bound + tol - slopes))
-    uniform_ok = uniform_margin >= 0.0
-
-    failures = []
-    if base.worst_lower_margin < 0.0:
-        failures.append("lower value bound 1 <= c violated")
-    if base.worst_upper_margin < 0.0:
-        failures.append(
-            "upper value bound c <= M violated "
-            "(energy-gap hypothesis 2*H(0) < M^2/4 - 1 likely unmet)"
-        )
-    if not base.slope_ok:
-        failures.append("slope envelope K0/(T-t)^q violated")
-    if not uniform_ok:
-        failures.append("uniform slope bound K0/T^q violated")
+    bounds = {  # each bound's failure text and margin; a bound holds where its margin >= 0
+        "lower": ("lower value bound 1 <= c violated", base.worst_lower_margin),
+        "upper": ("upper value bound c <= M violated "
+                  "(energy-gap hypothesis 2*H(0) < M^2/4 - 1 likely unmet)",
+                  base.worst_upper_margin),
+        "envelope": ("slope envelope K0/(T-t)^q violated", base.worst_slope_margin),
+        "uniform": ("uniform slope bound K0/T^q violated", uniform_margin),
+    }
+    ok = {name: margin >= 0.0 for name, (_, margin) in bounds.items()}
     return InducedSpeedReport(
-        lower_ok=base.worst_lower_margin >= 0.0,
-        upper_ok=base.worst_upper_margin >= 0.0,
-        envelope_ok=base.slope_ok,
-        uniform_ok=uniform_ok,
-        passed=not failures,
+        lower_ok=ok["lower"],
+        upper_ok=ok["upper"],
+        envelope_ok=ok["envelope"],
+        uniform_ok=ok["uniform"],
+        passed=all(ok.values()),
         worst_lower_margin=base.worst_lower_margin,
         worst_upper_margin=base.worst_upper_margin,
         worst_envelope_margin=base.worst_slope_margin,
         worst_uniform_margin=uniform_margin,
-        failures=tuple(failures),
+        failures=tuple(text for name, (text, _) in bounds.items() if not ok[name]),
     )
 
 

@@ -130,6 +130,8 @@ class TestCheckAdmissibility:
             check_admissibility(p, cls)
         with pytest.raises(ValueError):
             check_admissibility(line_path(0.4, 0.0), cls, tol=-1.0)
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            check_admissibility(line_path(0.4, 0.0), cls, tol=float("nan"))
 
     def test_class_validation(self):
         with pytest.raises(ValueError):

@@ -405,6 +405,14 @@ class TestDecayIntegral:
         assert decay_integral(coeff, 1.0, 1.0, cls, S) == 0.0
         assert decay_integral(coeff, 0.0, 5.0, cls, S) == 0.0
 
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    @pytest.mark.parametrize("mu", [0.0, -1.0])
+    def test_nonpositive_frequency_is_refused_at_every_time(self, t, mu):
+        coeff = CoefficientPath.constant(1.7, uniform_grid(1.0, 50))
+        cls = AdmissibleClass(q=Q, M=2.0, K0=1.0, T=1.0)
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            decay_integral(coeff, t, mu, cls, S)
+
     def test_low_frequency_branch_bound(self):
         coeff = oscillating_path()
         cls = audit_class()

@@ -432,6 +432,39 @@ class TestCheckInducedSpeed:
         assert not report.uniform_ok
         assert any("uniform" in f for f in report.failures)
 
+    def test_nan_tolerance_is_refused(self):
+        path = CoefficientPath.constant(1.0, uniform_grid(1.0, 100))
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            check_induced_speed(path, M=2.0, K0=1.0, q=1.5, T=1.0, tol=float("nan"))
+
+    # The words each failure text starts with, by the flag of its bound.
+    FAILURE_TEXTS = {"lower_ok": "lower value bound", "upper_ok": "upper value bound",
+                     "envelope_ok": "slope envelope", "uniform_ok": "uniform slope bound"}
+
+    @pytest.mark.parametrize(
+        "times, values, K0",
+        [
+            ([0.0, 0.5, 1.0], [1.0, 1.0, 1.0], 1.0),  # passes
+            ([0.0, 0.5, 1.0], [0.5, 0.5, 0.5], 1.0),  # below 1
+            ([0.0, 0.5, 1.0], [1.0, 2.0, 3.5], 1e9),  # above M
+            ([0.0, 0.75, 0.875, 1.0], [1.0, 1.0, 1.00075, 1.0015], 0.01),  # uniform only
+            ([0.0, 0.5, 1.0], [1.0, 1.9, 1.0], 0.01),  # both slope bounds
+            # the last slope overflows to inf against the envelope's inf at t = T: a nan margin
+            ([0.0, 0.5, 1.0 - 2.0**-53, 1.0], [1.0, 1.0, 1.0, 1e300], 1.0),
+        ],
+    )
+    def test_failures_name_exactly_the_failed_bounds(self, times, values, K0):
+        path = CoefficientPath(np.array(times), np.array(values))
+        report = check_induced_speed(path, M=2.0, K0=K0, q=1.5, T=1.0)
+        margins = [report.worst_lower_margin, report.worst_upper_margin,
+                   report.worst_envelope_margin, report.worst_uniform_margin]
+        flags = [getattr(report, flag) for flag in self.FAILURE_TEXTS]
+        assert flags == [margin >= 0.0 for margin in margins]
+        failed = [text for flag, text in self.FAILURE_TEXTS.items() if not getattr(report, flag)]
+        assert [f[:len(t)] for f, t in zip(report.failures, failed)] == failed
+        assert len(report.failures) == len(failed)
+        assert report.passed == all(flags) == (not report.failures)
+
 
 class TestInducedSlopeBound:
     def test_zero_velocity_zero_bound(self):

@@ -79,6 +79,11 @@ def mutated_copy(tmp_path, name, changes):
     return write_doc(tmp_path, doc)
 
 
+# A one-mode fixed point within count x points x max_iter <= 2^30 that would march for an hour.
+HOUR_LONG_FIXED_POINT = {"basis.count": 1, "grid.steps": MAX_POINTS - 1,
+                         "options.max_iter": MAX_ITER}
+
+
 # The CLI's entry point, then exit 99 if it left a child process unreaped.
 MAIN_THEN_CHECK_CHILDREN = """
 import os, sys
@@ -358,6 +363,9 @@ class TestCliExitCodes:
              MAX_ITER_MODE_SAMPLES),
             # about 2.1e6 output rows; checked after the grid is built, before the solve
             ("linear-audit", "linear-audit", {"basis.count": 1024}, MAX_AUDIT_ROWS),
+            # one mode, 2^20 points, 1000 iterations: about an hour at 4-5 us a sample-iteration,
+            # though count x points x max_iter is below 2^30; priced per sample, before the solve
+            ("fixedpoint", "single-mode-small", HOUR_LONG_FIXED_POINT, MAX_ITER_MODE_SAMPLES),
         ],
     )
     def test_oversized_scenarios_exit_64(self, tmp_path, command, name, changes, bound):
@@ -367,6 +375,12 @@ class TestCliExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("scenario error: "), proc.stderr
         assert f"bound {bound}" in lines[0] or f"<= {bound}" in lines[0], lines[0]
+
+    def test_only_fixedpoint_prices_max_iter(self, tmp_path):
+        # the per-sample corner that fixedpoint refuses above: norms does not iterate
+        cfg = mutated_copy(tmp_path, "single-mode-small", HOUR_LONG_FIXED_POINT)
+        code, out, err = run_in_process("norms", cfg, tmp_path / "out")
+        assert code == EXIT_OK, err
 
     def test_linear_audit_requires_manufactured(self, tmp_path, capsys):
         cfg = write_doc(tmp_path, minimal_doc())
@@ -433,30 +447,20 @@ class TestCliExitCodes:
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("value", ["0", "-5", "abc", "2.5", ""])
-    @pytest.mark.parametrize("from_env", [False, True])
-    def test_workers_must_be_a_positive_integer(self, tmp_path, value, from_env):
+    def test_workers_must_be_a_positive_integer(self, tmp_path, value):
         cfg = str(scenario_path("certify-pass"))
-        if from_env:
-            proc = run_cli(tmp_path, "certify", cfg, env={"KIRCHHOFFLAB_WORKERS": value})
-            source = "environment variable KIRCHHOFFLAB_WORKERS"
-        else:
-            proc = run_cli(tmp_path, "certify", cfg, f"--workers={value}")
-            source = "--workers"
+        proc = run_cli(tmp_path, "certify", cfg, f"--workers={value}")
         assert proc.returncode == EXIT_USAGE, proc.stderr
         lines = proc.stderr.splitlines()
-        assert lines == [f"scenario error: {source} must be a positive integer, got {value!r}"]
+        assert lines == [f"scenario error: --workers must be a positive integer, got {value!r}"]
         assert proc.stdout == ""
 
     def test_workers_cap(self, monkeypatch):
         # the resolver alone: nothing runs, so nothing forks
-        monkeypatch.delenv("KIRCHHOFFLAB_WORKERS", raising=False)
         cap = min(len(os.sched_getaffinity(0)), MAX_WORKERS)
         assert _resolve_workers("1000000") == cap
         assert _resolve_workers("1") == 1
         assert _resolve_workers(None) == min(os.cpu_count(), cap)
-        monkeypatch.setenv("KIRCHHOFFLAB_WORKERS", "1000000")
-        assert _resolve_workers(None) == cap
-        assert _resolve_workers("1") == 1  # the flag wins over the environment
         monkeypatch.delattr(os, "fork")
         assert _resolve_workers("1000000") == 1
 
@@ -531,17 +535,18 @@ class TestCliExitCodes:
         cli_csv = (tmp_path / "out" / "two-mode-coefficient.csv").read_bytes()
         assert cli_csv == (tmp_path / "expected.csv").read_bytes()
 
-    def test_workers_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("KIRCHHOFFLAB_WORKERS", "2")
-        code = main(
-            ["fixedpoint", "--config", str(scenario_path("certified-tiny")), "--out-dir", str(tmp_path)]
-        )
-        assert code == EXIT_OK
-        monkeypatch.setenv("KIRCHHOFFLAB_WORKERS", "nope")
-        assert (
-            main(["fixedpoint", "--config", str(scenario_path("certified-tiny")), "--out-dir", str(tmp_path)])
-            == EXIT_USAGE
-        )
+    def test_run_reads_no_environment_variable_for_workers(self, tmp_path):
+        # --workers is the only input for the writer count: a former variable changes nothing
+        cfg = str(scenario_path("linear-audit"))
+        plain = run_cli(tmp_path, "linear-audit", cfg, out=tmp_path / "plain")
+        env = run_cli(tmp_path, "linear-audit", cfg, out=tmp_path / "env",
+                      env={"KIRCHHOFFLAB_WORKERS": "nope"})
+        assert plain.returncode == env.returncode == EXIT_OK, env.stderr
+        assert (env.stdout, env.stderr) == (plain.stdout, plain.stderr)
+        files = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "env").iterdir())
+        for name in files:
+            assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 # Inputs that each ended in a traceback or a numpy warning: one per kind of escape.

@@ -10,10 +10,15 @@ benchmark cell that ``CHECKOUT/perfbench/workloads.py`` generates for seeds
 1 and 7919, under every command, with ``--workers N``.  Then it runs each
 shipped scenario with the largest double at its top mode's velocity, and
 separately at its top mode's position, to show how out-of-range data ends
-(family data is written out as explicit lists first).  Last come the parse
+(family data is written out as explicit lists first).  Then come the parse
 errors: each shipped scenario with each key dropped, with an unknown key in
 each object, and with each number replaced by ``"x"``, each run once under
-``norms``, since every command parses its scenario first.  Prints one JSON
+``norms``, since every command parses its scenario first.  Last come two
+sections that pin rules across fields: each shipped scenario with each key
+set to ``null``, under ``norms``; and each shipped scenario with each pair of
+the range-changing fields (``options.sigma``, ``gevrey.eta``, ``gevrey.s``,
+``horizon`` and the first mode's position) at each pair of the values 1e300
+and the largest double, under every command.  Prints one JSON
 line per run: the input, the command, the exit code, stdout, stderr, the text
 of each warning and of an exception that escaped ``main``, and the sha256 of
 each artefact.  Runs go in a temporary directory with relative paths, so two
@@ -32,6 +37,7 @@ import copy
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import shutil
@@ -42,16 +48,41 @@ from pathlib import Path
 
 SEEDS = (1, 7919)
 COMMANDS = ("simulate", "fixedpoint", "linear-audit", "certify", "norms")
+# Fields that move a run toward the edge of the double range, and their extreme values.
+RANGE_FIELDS = (("options", "sigma"), ("gevrey", "eta"), ("gevrey", "s"), ("horizon",),
+                ("initial", "position", 0))
+EXTREMES = (1e300, sys.float_info.max)
+
+
+def _explicit_initial(name: str, doc: dict, scenario) -> dict:
+    """The initial data of ``doc`` as explicit position and velocity lists, one per mode."""
+    scn = scenario.parse_scenario(doc, name)
+    return {"position": scn.position.tolist(), "velocity": scn.velocity.tolist()}
 
 
 def _out_of_range(name: str, doc: dict, scenario) -> list[tuple[Path, dict]]:
     """``doc`` with the largest double at its top mode's velocity, then at its position."""
-    scn = scenario.parse_scenario(doc, name)
     variants = []
     for key in ("velocity", "position"):
-        initial = {"position": scn.position.tolist(), "velocity": scn.velocity.tolist()}
+        initial = _explicit_initial(name, doc, scenario)
         initial[key][-1] = sys.float_info.max
         variants.append((Path(f"top-{key}") / name, dict(doc, initial=initial)))
+    return variants
+
+
+def _extreme_pairs(name: str, doc: dict, scenario) -> list[tuple[Path, dict]]:
+    """``doc`` with each pair of RANGE_FIELDS at each pair of EXTREMES."""
+    base = dict(doc, initial=_explicit_initial(name, doc, scenario))
+    variants = []
+    for fields in itertools.combinations(RANGE_FIELDS, 2):
+        for values in itertools.product(EXTREMES, repeat=2):
+            out = copy.deepcopy(base)
+            for path, value in zip(fields, values):
+                out.setdefault(path[0], {})  # a scenario may have no options
+                _at(out, path[:-1])[path[-1]] = value
+            label = ",".join(f"{'.'.join(map(str, path))}={value!r}"
+                             for path, value in zip(fields, values))
+            variants.append((Path("extreme") / Path(name).stem / f"{label}.json", out))
     return variants
 
 
@@ -71,24 +102,30 @@ def _at(node, path):
     return node
 
 
-def _malformed(name: str, doc: dict) -> list[tuple[Path, dict]]:
-    """``doc`` with each key dropped, an unknown key in each object, and each number "x"."""
+def _malformed(name: str, doc: dict, kinds=("drop", "unknown", "text")) -> list[tuple[Path, dict]]:
+    """``doc`` with each edit of ``kinds``: each key dropped ("drop"), an unknown key in each
+    object ("unknown"), each number "x" ("text"), or each key null ("null")."""
     paths = list(_paths(doc))
-    edits = [("drop", p) for p in paths if isinstance(p[-1], str)]
-    edits += [("unknown", p) for p in [(), *paths] if isinstance(_at(doc, p), dict)]
-    edits += [("text", p) for p in paths
-              if isinstance(_at(doc, p), (int, float)) and not isinstance(_at(doc, p), bool)]
+    keys = [p for p in paths if isinstance(p[-1], str)]
+    edits = {
+        "drop": keys,
+        "unknown": [p for p in [(), *paths] if isinstance(_at(doc, p), dict)],
+        "text": [p for p in paths
+                 if isinstance(_at(doc, p), (int, float)) and not isinstance(_at(doc, p), bool)],
+        "null": keys,
+    }
     variants = []
-    for kind, path in edits:
-        out = copy.deepcopy(doc)
-        if kind == "unknown":
-            _at(out, path)["unexpected"] = 1
-        elif kind == "drop":
-            del _at(out, path[:-1])[path[-1]]
-        else:
-            _at(out, path[:-1])[path[-1]] = "x"
-        dotted = ".".join(map(str, path)) or "root"
-        variants.append((Path(kind) / Path(name).stem / f"{dotted}.json", out))
+    for kind in kinds:
+        for path in edits[kind]:
+            out = copy.deepcopy(doc)
+            if kind == "unknown":
+                _at(out, path)["unexpected"] = 1
+            elif kind == "drop":
+                del _at(out, path[:-1])[path[-1]]
+            else:
+                _at(out, path[:-1])[path[-1]] = "x" if kind == "text" else None
+            dotted = ".".join(map(str, path)) or "root"
+            variants.append((Path(kind) / Path(name).stem / f"{dotted}.json", out))
     return variants
 
 
@@ -112,6 +149,14 @@ def _inputs(checkout: Path, into: Path, scenario) -> list[tuple[Path, tuple[str,
         malformed = _malformed(rel.name, doc)
         docs += malformed
         runs += [(path, ("norms",)) for path, _ in malformed]
+    for rel, doc in docs[:len(shipped)]:
+        nulls = _malformed(rel.name, doc, ("null",))
+        docs += nulls
+        runs += [(path, ("norms",)) for path, _ in nulls]
+    for rel, doc in docs[:len(shipped)]:
+        extremes = _extreme_pairs(rel.name, doc, scenario)
+        docs += extremes
+        runs += [(path, COMMANDS) for path, _ in extremes]
     for rel, doc in docs:
         (into / rel).parent.mkdir(parents=True, exist_ok=True)
         (into / rel).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -159,7 +204,6 @@ def main(argv=None) -> int:
 
     if Path(cli.__file__).resolve().parent != checkout / "src" / "kirchhofflab":
         sys.exit(f"imported kirchhofflab from {cli.__file__}, not from {checkout}")
-    os.environ.pop("KIRCHHOFFLAB_WORKERS", None)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
