@@ -14,12 +14,12 @@ directory in one write phase and encodes the outcome in the exit status:
 A run that fails before the write phase writes nothing, and an artefact that
 cannot be written, the report included, leaves none of the run's artefacts.
 Outputs are deterministic: no timestamps, floats rendered with shortest
-round-trip decimals, one serial mode sweep.  A run reads only its arguments,
-its scenario file and the CPU count.  ``--workers`` (default the CPU count) is
-the number of processes that write linear-audit's mode CSVs and report, capped
-at the usable CPUs, at MAX_WORKERS and at the number of files; it is 1 where
-``os.fork`` does not exist.  A value that is not a positive integer exits 64.
-The bytes written do not depend on it.
+round-trip decimals, the modes marched in this process in an order set by their
+number.  A run reads only its arguments, its scenario file and the CPU count.
+``--workers`` (default the CPU count) is the number of processes that write
+linear-audit's mode CSVs and report, capped at the usable CPUs, at MAX_WORKERS
+and at the number of files; it is 1 where ``os.fork`` does not exist.  A value
+that is not a positive integer exits 64.  The bytes written do not depend on it.
 """
 from __future__ import annotations
 
@@ -154,7 +154,7 @@ def cmd_fixedpoint(scn: Scenario) -> tuple:
     report = fixed_point_solve(run, tol=scn.tol, max_iter=scn.max_iter)
     coeff = report.final_coeff
     certificate = _scenario_certificate(scn)
-    job, info = _trajectory(scn, report.final_solution, certificate)
+    job, info = _trajectory(scn, report.live_solution or report.final_solution, certificate)
     image = check_induced_speed(coeff, M=certificate.M, K0=certificate.K0, q=certificate.q,
                                 T=scn.horizon, tol=1e-8)
     jobs = [

@@ -37,6 +37,7 @@ from .spectral import (
 # RK4 scales a mode's energy by 1 - x^6/72 + x^8/576 a step (x = c*mu*dt), 1 - 2.1e-4
 # at the guard, so a 1e-6 H drift needs grids as fine as the shipped and benchmark ones.
 GUARD = 0.5
+BLOCK_MODES = 48  # the most modes that march in blocks: the per-step loop is faster above it
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,12 +139,54 @@ def _rk4_march(lam, v0, w0, m, degree, step_matrix):
     return S[0].T, S[1].T
 
 
+def _rk4_blocks(lam, v0, w0, steps):
+    """:func:`_rk4_march` of the (steps, 2, 6) stack ``steps`` in blocks of about sqrt(steps)/2
+    steps (Blelloch's two-level scan): each block's product of 2x2 propagators, all blocks at
+    once; the block start states, in turn; then the steps of every block at once.  The block
+    products are held as P - I, so that products of steps near the identity keep their digits.
+    No sum runs across modes, so each row's bits depend on its own mode's data alone."""
+    m, n = steps.shape[0] + 1, lam.size
+    size = max(1, math.isqrt((m - 1) // 4))  # of count blocks, only the last may be short
+    count = -(-(m - 1) // size)
+    K = steps.reshape(-1, 2, 3, 2).transpose(2, 1, 3, 0)[..., None]  # [lambda^k, row, col, step]
+    S = np.empty((2, m, n))
+    S[:, 0] = v0, w0
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks finiteness
+        lam2 = lam * lam  # inf where lambda^2 overflows, as in the loop
+
+        def propagators(j, stop=None, less=0.0):  # [row, col, block, mode] of step j, minus less
+            a, b, d = K[..., j::size, :][..., :stop, :]
+            return (a - less) + b * lam + d * lam2
+
+        eye = np.eye(2)[:, :, None, None]  # (I + E)(I + T) = I + (E @ T + E + T)
+        total = propagators(0, count - 1, eye)  # the last block's product is never used
+        for j in range(1, size):
+            E = propagators(j, count - 1, eye)
+            total = (E[:, 0, None] * total[0] + E[:, 1, None] * total[1]) + E + total
+        for b in range(1, count):
+            x = S[:, (b - 1) * size]
+            S[:, b * size] = x + (total[:, 0, b - 1] * x[0] + total[:, 1, b - 1] * x[1])
+        for j in range(size):
+            P = propagators(j)
+            x = S[:, j::size][:, :P.shape[2]]
+            x = x + 0.0 if j == 0 else x  # -0.0 + 0.0 is +0.0, which every guarded step keeps
+            np.add(P[:, 0] * x[0], P[:, 1] * x[1], out=S[:, j + 1::size])
+        # a row whose lambda^2 * x overflows before the last sample ends non-finite, as in the loop
+        if not max(S.max(initial=0.0), -S.min(initial=0.0)) * lam2.max(initial=0.0) < np.inf:
+            reach = np.maximum(S[:, :-1].max(axis=(0, 1)), -S[:, :-1].min(axis=(0, 1))) * lam2
+            S[:, -1, ~(reach < np.inf)] = np.inf
+    S.setflags(write=False)  # lets Trajectory adopt the buffer without a copy
+    return S[0].T, S[1].T
+
+
 def _rk4_modes(coeff, lam, v0, w0, grid):
     """March every given mode on a validated, guarded grid; returns (V, W), (modes, times)."""
     c2_nodes = coeff.evaluate(grid) ** 2
     c2_mids = coeff.evaluate(0.5 * (grid[:-1] + grid[1:])) ** 2
     cv, cw = _rk4_coefficients(np.diff(grid), c2_nodes[:-1], c2_mids, c2_mids, c2_nodes[1:])
     steps = np.stack(np.broadcast_arrays(*cv, *cw), axis=-1).reshape(-1, 2, 6)
+    if lam.size <= BLOCK_MODES:
+        return _rk4_blocks(lam, v0, w0, steps)
     return _rk4_march(lam, v0, w0, grid.size, 2, lambda i, _rows, _x: steps[i])
 
 
@@ -167,7 +210,8 @@ def solve_modes(
 ) -> Trajectory:
     """Integrate every basis mode with a shared coefficient path.
 
-    The modes advance together in one serial sweep over the grid.
+    Up to BLOCK_MODES modes march in blocks of steps, more together one step at a time;
+    every mode's rows are the same in either order up to rounding.
     """
     v0 = np.asarray(position, dtype=float)
     w0 = np.asarray(velocity, dtype=float)

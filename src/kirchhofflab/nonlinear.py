@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,18 +66,34 @@ class FixedPointReport:
     convergence means the last move fell below the tolerance.  The final
     solution is the linear trajectory computed in the last iteration, whose
     D(t) gave ``final_coeff``; the speed that produced it is within the last
-    recorded distance of ``final_coeff``.
+    recorded distance of ``final_coeff``.  ``live_solution`` holds its live
+    modes on a basis of their frequencies, None when no mode is live;
+    ``final_solution`` lays out every mode of ``run``, once, on first read.
     """
 
     iterations: int
     distances: tuple[float, ...]
     converged: bool
     final_coeff: CoefficientPath
-    final_solution: Trajectory
+    run: KirchhoffRun
+    live_solution: Trajectory | None
 
     def __post_init__(self):
         if any(d < 0.0 for d in self.distances):
             raise ValueError("distances must be nonnegative")
+
+    @cached_property
+    def final_solution(self) -> Trajectory:
+        # the data at sample 0, signed zeros kept; after it the live rows, and +0.0 elsewhere
+        init, grid, sol = self.run.initial, self.run.grid, self.live_solution
+        S = np.zeros((2, grid.size, init.basis.count))
+        S[:, 0] = init.position, init.velocity
+        if sol is not None:
+            live = np.searchsorted(init.basis.frequencies, sol.basis.frequencies)
+            S[0, 1:, live], S[1, 1:, live] = sol.position[:, 1:], sol.velocity[:, 1:]
+        S.setflags(write=False)
+        D = None if sol is None else sol.dirichlet_series()
+        return Trajectory(init.basis, grid, S[0].T, S[1].T, _dirichlet=D)
 
 
 def _induced(coeff: CoefficientPath, run: KirchhoffRun):
@@ -125,17 +142,15 @@ def fixed_point_solve(
         coeff = new
         if distances[-1] < tol:
             break
-    # the full layout, once: the data, signed zeros kept, then +0.0 outside the live rows
-    S = np.zeros((2, run.grid.size, run.basis.count))
-    S[:, 0] = run.initial.position, run.initial.velocity
-    S[0, 1:, live], S[1, 1:, live] = V[:, 1:], W[:, 1:]
-    S.setflags(write=False)
+    basis = run.basis
     return FixedPointReport(
         iterations=len(distances),
         distances=tuple(distances),
         converged=distances[-1] < tol,
         final_coeff=coeff,
-        final_solution=Trajectory(run.basis, run.grid, S[0].T, S[1].T, _dirichlet=D),
+        run=run,
+        live_solution=None if live.size == 0 else Trajectory(
+            ModeBasis(basis.kind, basis.frequencies[live]), run.grid, V, W, _dirichlet=D),
     )
 
 

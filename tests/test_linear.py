@@ -1,5 +1,6 @@
 """Mode solver, speed regularisation, decay integrals and the energy audit."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from kirchhofflab import (
     uniform_grid,
     verify_energy_bound,
 )
-from kirchhofflab.linear import GUARD, _freeze_time, _rk4_coefficients, _rk4_march, _rk4_modes
+from kirchhofflab.linear import (BLOCK_MODES, GUARD, _freeze_time, _rk4_blocks, _rk4_coefficients,
+                                 _rk4_march, _rk4_modes)
 
 Q, S, T = 1.5, 2.0, 1.0
 
@@ -123,13 +125,25 @@ class TestSolveModes:
         assert np.shares_memory(traj.position, V) and np.shares_memory(traj.velocity, W)
 
 
-def full_march(coeff, lam, v0, w0, grid):
-    """The sweep that marches every mode, zero-data modes included."""
+def step_stack(coeff, grid):
+    """The (steps, 2, 6) stack of every step's RK4 coefficients on ``grid``."""
     c2_nodes = coeff.evaluate(grid) ** 2
     c2_mids = coeff.evaluate(0.5 * (grid[:-1] + grid[1:])) ** 2
     cv, cw = _rk4_coefficients(np.diff(grid), c2_nodes[:-1], c2_mids, c2_mids, c2_nodes[1:])
-    steps = np.stack(np.broadcast_arrays(*cv, *cw), axis=-1).reshape(-1, 2, 6)
+    return np.stack(np.broadcast_arrays(*cv, *cw), axis=-1).reshape(-1, 2, 6)
+
+
+def full_march(coeff, lam, v0, w0, grid):
+    """The per-step loop that marches every mode, zero-data modes included."""
+    steps = step_stack(coeff, grid)
     return _rk4_march(lam, v0, w0, grid.size, 2, lambda i, _rows, _x: steps[i])
+
+
+def march_in_order(marched, coeff, lam, v0, w0, grid):
+    """Every mode of ``lam``, marched in the order _rk4_modes gives ``marched`` modes."""
+    if marched > BLOCK_MODES:
+        return full_march(coeff, lam, v0, w0, grid)
+    return _rk4_blocks(lam, v0, w0, step_stack(coeff, grid))
 
 
 def assert_same_bits(a, b):
@@ -138,9 +152,10 @@ def assert_same_bits(a, b):
 
 
 def check_against_full_march(basis, coeff, pos, vel, grid):
-    """solve_modes equals the full march bit for bit; zero-data rows are +0.0 after sample 0."""
+    """solve_modes equals the all-mode march in its order bit for bit; zero-data rows are
+    +0.0 after sample 0."""
     traj = solve_modes(coeff, basis, pos, vel, grid)
-    V, W = full_march(coeff, basis.eigenvalues, pos, vel, grid)
+    V, W = march_in_order(basis.count, coeff, basis.eigenvalues, pos, vel, grid)
     assert_same_bits(traj.position, V)
     assert_same_bits(traj.velocity, W)
     dead = (pos == 0.0) & (vel == 0.0)
@@ -196,7 +211,6 @@ class TestLiveModeSweep:
         assert list(np.signbit(traj.velocity[:, 0])) == list(np.signbit(vel))
 
     def test_one_live_mode_marches_every_mode(self):
-        # a one-column march goes through matrix-vector BLAS and differs in last bits
         for k in range(6):
             pos, vel = np.zeros(6), np.zeros(6)
             pos[k], vel[k] = 0.3, -0.7
@@ -205,6 +219,79 @@ class TestLiveModeSweep:
     def test_no_live_mode(self):
         traj = check_against_full_march(*self.sweep_case([0.0, -0.0, 0.0], [-0.0, 0.0, 0.0]))
         assert np.all(traj.position == 0.0) and np.all(traj.velocity == 0.0)
+
+
+@st.composite
+def block_march_cases(draw):
+    """Up to BLOCK_MODES + 1 modes, often exactly BLOCK_MODES or one more, up to 600 steps."""
+    n = draw(st.one_of(st.sampled_from([BLOCK_MODES, BLOCK_MODES + 1]),
+                       st.integers(1, BLOCK_MODES)))
+    steps = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    freqs = np.unique(rng.uniform(0.1, 64.0, n))
+    values = rng.uniform(1.0, 2.0, steps + 1)
+    dt = draw(st.floats(0.05, 1.0)) * GUARD / (values.max() * freqs[-1])
+    grid = uniform_grid(dt * steps, steps)
+    v0, w0 = rng.uniform(-1.0, 1.0, (2, freqs.size)) * [[1.0], [draw(st.sampled_from([0.0, 1.0]))]]
+    return freqs * freqs, CoefficientPath(grid, values), v0, w0 * freqs, grid
+
+
+class TestBlockMarch:
+    """Up to BLOCK_MODES modes march in blocks; each row depends on its own mode alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_march_cases())
+    def test_matches_the_per_step_loop(self, case):
+        lam, coeff, v0, w0, grid = case
+        V, W = _rk4_modes(coeff, lam, v0, w0, grid)
+        fullV, fullW = full_march(coeff, lam, v0, w0, grid)
+        if lam.size > BLOCK_MODES:
+            assert_same_bits(V, fullV)
+            assert_same_bits(W, fullW)
+        # relative to each mode's amplitude sqrt(lambda v^2 + w^2), which c in [1, 2] bounds
+        mu = np.sqrt(lam)[:, None]
+        scale = np.max(np.hypot(mu * fullV, fullW), axis=1, keepdims=True)
+        assert np.all(mu * np.abs(V - fullV) <= 1e-12 * scale)
+        assert np.all(np.abs(W - fullW) <= 1e-12 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_march_cases(), st.data())
+    def test_a_subset_of_modes_marches_to_the_same_bits(self, case, data):
+        lam, coeff, v0, w0, grid = case
+        sub = np.array(data.draw(st.lists(st.booleans(), min_size=lam.size, max_size=lam.size)))
+        V, W = _rk4_modes(coeff, lam[sub], v0[sub], w0[sub], grid)
+        fullV, fullW = march_in_order(sub.sum(), coeff, lam, v0, w0, grid)
+        assert np.array_equal(V, fullV[sub]) and np.array_equal(W, fullW[sub])
+
+    @pytest.mark.parametrize("modes", [0, 1, 5])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 15, 16, 17, 63, 64, 65, 99, 100, 101, 257])
+    def test_every_step_count_and_no_mode(self, modes, steps):
+        # block lengths of 1 to 8 steps, a short last block or none, and zero marched modes
+        rng = np.random.default_rng(steps)
+        lam = np.arange(1.0, modes + 1) ** 2
+        grid = uniform_grid(0.4 / max(modes, 1) * steps / 20, steps)
+        coeff = CoefficientPath(grid, rng.uniform(1.0, 1.2, steps + 1))
+        v0, w0 = rng.normal(size=modes), rng.normal(size=modes)
+        V, W = _rk4_modes(coeff, lam, v0, w0, grid)
+        assert V.shape == W.shape == (modes, steps + 1)
+        assert not V.flags.writeable and not W.flags.writeable
+        assert np.array_equal(V[:, 0], v0) and np.array_equal(W[:, 0], w0)
+        fullV, fullW = full_march(coeff, lam, v0, w0, grid)
+        assert np.allclose(V, fullV, rtol=0.0, atol=1e-13)
+        assert np.allclose(W, fullW, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("lam", [4.0, 1e200])
+    def test_a_march_that_leaves_the_double_range_warns_nothing(self, lam):
+        # lambda^2 * x overflows, or lambda^2 itself: non-finite rows and no numpy warning
+        grid = uniform_grid(0.4 / math.sqrt(lam), 10)
+        coeff = CoefficientPath.constant(1.0, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            V, W = _rk4_modes(coeff, np.array([lam]), np.array([1e308]), np.array([1e308]), grid)
+            assert not (np.isfinite(V).all() and np.isfinite(W).all())
+            with pytest.raises(RangeOverflowError, match="trajectory entries must be finite"):
+                solve_modes(coeff, ModeBasis("torus", np.array([math.sqrt(lam)])),
+                            [1e308], [1e308], grid)
 
 
 def stagewise_rk4_step(lam, v, w, h, a1, a2, a3, a4):

@@ -37,7 +37,7 @@ from kirchhofflab.nonlinear import _induced
 from kirchhofflab.scenario import load_scenario
 
 from conftest import SCENARIO_DIR
-from test_linear import full_march, sparse_sweep_cases
+from test_linear import march_in_order, sparse_sweep_cases
 
 GP = GevreyParams(s=2.0, eta=2.0)
 
@@ -226,9 +226,7 @@ class TestLiveModeIterate:
         basis, coeff, pos, vel, grid = case
         run = KirchhoffRun(basis, SpectralState(basis, pos, vel), grid[-1], GP, grid)
         live, V, W, _, _ = _induced(coeff, run)
-        if live.size == 1:  # one column alone goes through matrix-vector BLAS
-            return
-        fullV, fullW = full_march(coeff, basis.eigenvalues, pos, vel, grid)
+        fullV, fullW = march_in_order(live.size, coeff, basis.eigenvalues, pos, vel, grid)
         assert same_bits(V, fullV[live]) and same_bits(W, fullW[live])
 
     def test_guard_uses_the_full_basis(self):
@@ -250,7 +248,9 @@ class TestLiveModeIterate:
         run = make_run(pos, velocities=vel, steps=300)
         report = fixed_point_solve(run)
         assert report.converged
+        assert "final_solution" not in vars(report)  # laid out on first read, once
         sol = report.final_solution
+        assert report.final_solution is sol
         for arr, data in ((sol.position, pos), (sol.velocity, vel)):
             assert arr.shape == (6, run.grid.size) and not arr.flags.writeable
             assert same_bits(arr[:, 0], data)  # each datum keeps its sign
@@ -260,16 +260,38 @@ class TestLiveModeIterate:
             assert np.all(rest == 0.0) and not np.any(np.signbit(rest))
         assert_one_d(report)
         if not live.any():
+            assert report.live_solution is None
             assert report.iterations == 1 and np.all(report.final_coeff.values == 1.0)
             return
-        # the live modes alone decide the run: on a basis of their frequencies
-        # (one column through matrix-vector BLAS), every bit is the same
+        rows = report.live_solution
+        assert same_bits(rows.basis.frequencies, run.basis.frequencies[live])
+        assert same_bits(rows.position, sol.position[live])
+        assert same_bits(rows.velocity, sol.velocity[live])
+        assert rows.dirichlet_series() is sol.dirichlet_series()
+        # the live modes alone decide the run: on a basis of their frequencies every bit
+        # is the same, and so are the CLI's series, which come from those rows
         sub = ModeBasis("interval-dirichlet", run.basis.frequencies[live])
         alone = fixed_point_solve(KirchhoffRun(
             sub, SpectralState(sub, pos[live], vel[live]), run.horizon, GP, run.grid))
         assert same_bits(alone.final_coeff.values, report.final_coeff.values)
         assert same_bits(alone.final_solution.position, sol.position[live])
         assert same_bits(alone.final_solution.velocity, sol.velocity[live])
+
+    @pytest.mark.parametrize("path", FIXEDPOINT_SCENARIOS, ids=lambda p: p.stem)
+    def test_live_rows_give_the_full_layout_series(self, path):
+        # the CLI's trajectory.csv series come from the live rows; the zero rows add
+        # nothing to D or H, and only the norm's scaling may round differently
+        scn = load_scenario(path)
+        report = fixed_point_solve(_build_run(scn), tol=scn.tol, max_iter=scn.max_iter)
+        full, rows = report.final_solution, report.live_solution
+        if rows is None:  # zero-data: the CLI takes the full layout
+            assert not np.any(full.position[:, 1:]) and not np.any(full.velocity[:, 1:])
+            return
+        assert same_bits(rows.induced_speed_series(), full.induced_speed_series())
+        ham, ham_full = rows.hamiltonian_series(), full.hamiltonian_series()
+        assert np.max(np.abs(ham - ham_full)) <= 1e-15 * np.max(ham_full)
+        norm, norm_full = rows.state_gevrey_series(scn.gevrey), full.state_gevrey_series(scn.gevrey)
+        assert np.all(np.abs(norm - norm_full) <= 1e-13 * norm_full)
 
     def test_an_iterate_with_non_finite_entries_is_refused(self):
         # lambda^2 = 1e400 overflows in the step, although D(0) = 1 and the guard hold
