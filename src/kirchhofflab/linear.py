@@ -181,9 +181,10 @@ def _rk4_blocks(lam, v0, w0, steps):
 
 def _rk4_modes(coeff, lam, v0, w0, grid):
     """March every given mode on a validated, guarded grid; returns (V, W), (modes, times)."""
-    c2_nodes = coeff.evaluate(grid) ** 2
-    c2_mids = coeff.evaluate(0.5 * (grid[:-1] + grid[1:])) ** 2
-    cv, cw = _rk4_coefficients(np.diff(grid), c2_nodes[:-1], c2_mids, c2_mids, c2_nodes[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks finiteness
+        c2_nodes = coeff.evaluate(grid) ** 2
+        c2_mids = coeff.evaluate(0.5 * (grid[:-1] + grid[1:])) ** 2
+        cv, cw = _rk4_coefficients(np.diff(grid), c2_nodes[:-1], c2_mids, c2_mids, c2_nodes[1:])
     steps = np.stack(np.broadcast_arrays(*cv, *cw), axis=-1).reshape(-1, 2, 6)
     if lam.size <= BLOCK_MODES:
         return _rk4_blocks(lam, v0, w0, steps)
@@ -310,24 +311,24 @@ def _decay_cumulative(
     mu: float,
     cls: AdmissibleClass,
     s: float,
-) -> np.ndarray:
-    """Composite trapezoid of the decay rate from 0 to each evaluation time.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite trapezoid of the decay rate from 0 to each evaluation time, and c_reg on the
+    path's own grid.
 
     The quadrature splits at every path breakpoint and at the freeze time, so
     each piece lies in a single linear segment of the path and a single branch
     of the rate; within a piece the rate is evaluated with that segment's own
-    slope, which sidesteps the slope jumps at breakpoints.
+    slope, which sidesteps the slope jumps at breakpoints.  Pieces past the
+    last evaluation time leave the running sum before it unchanged.
     """
-    t_max = float(eval_times[-1])
     low, t_f = _freeze_time(mu, cls, s)
-    pts = coeff.times[(coeff.times > 0.0) & (coeff.times < t_max)]
-    pts = np.union1d(np.union1d(pts, eval_times), [0.0, t_max])
-    if not low and 0.0 < t_f < t_max:
+    pts = np.union1d(coeff.times, eval_times)  # the path starts at 0
+    if not low and 0.0 < t_f < pts[-1]:
         pts = np.union1d(pts, [t_f])
     a, b = pts[:-1], pts[1:]
 
-    c = coeff.evaluate(pts)
-    gap = np.abs(_regularized_speeds(coeff, pts, mu, cls, s) - c)
+    c, c_reg = coeff.evaluate(pts), _regularized_speeds(coeff, pts, mu, cls, s)
+    gap = np.abs(c_reg - c)
     gamma = 2.0 * cls.M / cls.m0
     contrib = 0.5 * (b - a) * gamma * mu * (gap[:-1] + gap[1:])
     if not low:
@@ -337,7 +338,7 @@ def _decay_cumulative(
         contrib = np.where(b <= t_f, follow_part, contrib)
 
     cum = np.concatenate(([0.0], np.cumsum(contrib)))
-    return cum[np.searchsorted(pts, eval_times, side="left")]
+    return cum[np.searchsorted(pts, eval_times)], c_reg[np.searchsorted(pts, coeff.times)]
 
 
 def decay_integral(
@@ -346,12 +347,27 @@ def decay_integral(
     """Trapezoid quadrature of the decay rate over [0, t] on the path grid."""
     if t < 0.0 or t > min(cls.T, coeff.end_time) * (1.0 + 1e-12):
         raise ValueError(f"time {t} outside the integrable range")
-    return float(_decay_cumulative(coeff, np.array([0.0, t]), mu, cls, s)[-1])
+    return float(_decay_cumulative(coeff, np.array([0.0, t]), mu, cls, s)[0][-1])
 
 
 # ---------------------------------------------------------------------------
 # Weighted per-mode energy and the interval energy bound
 # ---------------------------------------------------------------------------
+
+def _mode_audit(times, v, vdot, mu, coeff, cls, gp, sigma) -> tuple[np.ndarray, float]:
+    """One mode's weighted energy at ``times`` and its decay integral A(times[-1]), from one
+    quadrature of the decay rate; see :func:`approximate_energy`.  ``times`` has the path's
+    size, and the energy at ``times[i]`` takes c_reg at the path's ``i``-th time."""
+    acc, c_reg = _decay_cumulative(coeff, times, mu, cls, gp.s)
+    exponent = -acc + gp.eta * mu ** (1.0 / gp.s) + (sigma - 1.0) * (2.0 * math.log(mu))
+    if float(np.max(exponent)) > _LOG_MAX:
+        raise RangeOverflowError(
+            "energy weight overflows double range",
+            log_value=float(np.max(exponent)),
+        )
+    raw = vdot**2 + (c_reg * mu) ** 2 * v**2
+    return raw * np.exp(exponent), float(acc[-1])
+
 
 def approximate_energy(
     traj: ModeTrajectory,
@@ -370,17 +386,7 @@ def approximate_energy(
         traj.times, coeff.times, rtol=0.0, atol=1e-12
     ):
         raise ValueError("trajectory and coefficient must share the same time grid")
-    mu = traj.mu
-    c_reg = _regularized_speeds(coeff, coeff.times, mu, cls, gp.s)
-    acc = _decay_cumulative(coeff, traj.times, mu, cls, gp.s)
-    exponent = -acc + gp.eta * mu ** (1.0 / gp.s) + (sigma - 1.0) * (2.0 * math.log(mu))
-    if float(np.max(exponent)) > _LOG_MAX:
-        raise RangeOverflowError(
-            "energy weight overflows double range",
-            log_value=float(np.max(exponent)),
-        )
-    raw = traj.vdot**2 + (c_reg * mu) ** 2 * traj.v**2
-    return raw * np.exp(exponent)
+    return _mode_audit(traj.times, traj.v, traj.vdot, traj.mu, coeff, cls, gp, sigma)[0]
 
 
 def radius_loss(cls: AdmissibleClass) -> float:

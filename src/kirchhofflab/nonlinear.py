@@ -137,6 +137,7 @@ def fixed_point_solve(
     coeff = CoefficientPath.constant(math.sqrt(1.0 + d0), run.grid)
     distances: list[float] = []
     for _ in range(max_iter):
+        V = W = D = None  # the last iterate's rows go before the next march allocates its own
         live, V, W, D, new = _induced(coeff, run)
         distances.append(float(np.max(np.abs(new.values - coeff.values))))
         coeff = new

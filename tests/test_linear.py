@@ -34,8 +34,9 @@ from kirchhofflab import (
     uniform_grid,
     verify_energy_bound,
 )
-from kirchhofflab.linear import (BLOCK_MODES, GUARD, _freeze_time, _rk4_blocks, _rk4_coefficients,
-                                 _rk4_march, _rk4_modes)
+from kirchhofflab.linear import (BLOCK_MODES, GUARD, _decay_cumulative, _freeze_time, _mode_audit,
+                                 _regularized_speeds, _rk4_blocks, _rk4_coefficients, _rk4_march,
+                                 _rk4_modes)
 
 Q, S, T = 1.5, 2.0, 1.0
 
@@ -589,6 +590,71 @@ class TestApproximateEnergy:
         other = CoefficientPath.constant(1.2, uniform_grid(1.0, 50))
         with pytest.raises(ValueError):
             approximate_energy(mt, other, cls, GevreyParams(S, 1.0), sigma=1.0)
+
+
+def audit_path(freeze, speed, cls, s, steps, mu):
+    """``speed`` on a graded grid over [0, 1) on which the freeze time of ``mu`` lies where
+    ``freeze`` says: nowhere ("low", the low-frequency branch), between grid points, on one,
+    or past the path's end."""
+    low, t_f = _freeze_time(mu, cls, s)
+    if low != (freeze == "low") or (freeze == "past" and not t_f > 0.5):
+        reject()
+    grid = graded_grid(1.0, 1.0 / steps, 0.9, 2.0 * (1.0 - t_f) if freeze == "past" else 1e-9)
+    if freeze == "on":
+        grid = np.union1d(grid, [t_f])
+    if not low and ((t_f in grid[:-1]) != (freeze == "on")
+                    or (t_f > grid[-1]) != (freeze == "past")):
+        reject()
+    return speed.sample(grid)
+
+
+class TestModeAudit:
+    @pytest.mark.parametrize("freeze", ["low", "between", "on", "past"])
+    @settings(max_examples=15, deadline=None)
+    @given(q=st.floats(1.05, 1.95), s=st.floats(1.1, 4.0), amplitude=st.floats(0.0, 0.3),
+           offset=st.floats(1.0, 3.0), steps=st.integers(20, 100), mu=st.integers(2, 64),
+           sigma=st.floats(1.0, 3.0), eta=st.floats(0.5, 10.0))
+    def test_one_pass_matches_the_public_quadratures(self, freeze, q, s, amplitude, offset,
+                                                     steps, mu, sigma, eta):
+        # the CLI's single pass gives approximate_energy's energy and decay_integral's A(T),
+        # and its energy equals one built from A and c_reg taken one time at a time
+        mu = 1.0 if freeze == "low" else float(mu)
+        speed = OscillatingSpeed(q=q, T=1.0, amplitude=amplitude, offset=offset)
+        cls = AdmissibleClass(q, speed.value_max, amplitude, 1.0, speed.value_min)
+        coeff = audit_path(freeze, speed, cls, s, steps, mu)
+        gp, t = GevreyParams(s, eta), coeff.times
+        v, vdot = np.cos(mu * t), -mu * np.sin(mu * t)
+        energy, integral = _mode_audit(t, v, vdot, mu, coeff, cls, gp, sigma)
+
+        assert integral == decay_integral(coeff, coeff.end_time, mu, cls, s)
+        mt = ModeTrajectory(t, v, vdot, mu)
+        assert energy.tobytes() == approximate_energy(mt, coeff, cls, gp, sigma).tobytes()
+        acc = np.array([decay_integral(coeff, ti, mu, cls, s) for ti in t])
+        c_reg = np.array([regularized_speed(coeff, ti, mu, cls, s) for ti in t])
+        exponent = -acc + eta * mu ** (1.0 / s) + (sigma - 1.0) * (2.0 * math.log(mu))
+        reference = (vdot**2 + (c_reg * mu) ** 2 * v**2) * np.exp(exponent)
+        assert energy.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("mu", [1.0, 8.0, 64.0])
+    @pytest.mark.parametrize("shift", [1e-13, -1e-13, "mixed"])
+    def test_a_nearby_grid_keeps_c_reg_on_the_path_grid(self, mu, shift):
+        # a trajectory grid within 1e-12 of the path's: A at the trajectory's own times,
+        # c_reg at the path's, as the energy was formed before it shared one quadrature
+        speed = OscillatingSpeed(q=1.5, T=1.0, amplitude=0.2, offset=2.0)
+        cls = AdmissibleClass(1.5, speed.value_max, 0.2, 1.0, speed.value_min)
+        coeff = speed.sample(graded_grid(1.0, 1e-2, 0.9))
+        t = coeff.times.copy()
+        mixed = np.where(np.arange(1, t.size - 1) % 2, 3e-13, -4e-13)
+        t[1:-1] += mixed if shift == "mixed" else shift
+        v, vdot = np.cos(mu * t), -mu * np.sin(mu * t)
+        gp = GevreyParams(2.0, 3.0)
+        energy = approximate_energy(ModeTrajectory(t, v, vdot, mu), coeff, cls, gp, 1.5)
+
+        acc = _decay_cumulative(coeff, t, mu, cls, gp.s)[0]
+        c_reg = _regularized_speeds(coeff, coeff.times, mu, cls, gp.s)
+        exponent = -acc + gp.eta * mu ** (1.0 / gp.s) + 0.5 * (2.0 * math.log(mu))
+        reference = (vdot**2 + (c_reg * mu) ** 2 * v**2) * np.exp(exponent)
+        assert energy.tobytes() == reference.tobytes()
 
 
 class TestEtaPrime:

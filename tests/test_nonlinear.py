@@ -1,5 +1,6 @@
 """Fixed-point iteration, direct oracle, image bounds and the continuity probe."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,20 @@ class TestFixedPointSolve:
         assert report.converged
         d = report.distances
         assert all(d[i + 1] < d[i] for i in range(len(d) - 1))
+
+    def test_the_last_iterate_is_freed_before_the_next_march(self):
+        # one (2, samples, modes) march buffer at a time, plus D's position**2 temporary;
+        # with the last iterate's rows still held while the next march ran, 2.5 buffers
+        n = 64
+        run = make_run(0.01 / (1.0 + np.arange(n)), horizon=0.5, steps=2000)
+        tracemalloc.start()
+        try:
+            report = fixed_point_solve(run, tol=1e-300, max_iter=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.iterations == 3
+        assert peak < 2 * (2 * run.grid.size * n * 8)
 
 
 FIXEDPOINT_SCENARIOS = sorted(

@@ -501,6 +501,19 @@ class TestCliExitCodes:
             os.waitpid(-1, os.WNOHANG)
         assert list(tmp_path.iterdir()) == []  # the files written before the failure are gone
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_allocation_while_writing_leaves_nothing(self, tmp_path, workers):
+        # at 2 workers m1.csv fails in the forked writer and reports through its pipe
+        class NoMemory(list):
+            def __len__(self):
+                raise MemoryError
+
+        jobs = [(tmp_path / f"m{k}.csv", ["x"], [column(["1.0"])])
+                for k, column in enumerate((list, NoMemory))]
+        with pytest.raises(ScenarioError, match="^out of memory$"):
+            _write_csvs(jobs, workers)
+        assert list(tmp_path.iterdir()) == []  # m0.csv, written before the failure, is gone
+
     def test_no_jobs_write_nothing(self, tmp_path):
         _write_csvs([], 2)
         assert list(tmp_path.iterdir()) == []
@@ -589,6 +602,12 @@ ESCAPES = [
                  {"options.sigma": sys.float_info.max, "initial": {"position": [1.0]}},
                  EXIT_AUDIT_FAILED, "audit weight overflows double range",
                  id="audit-weight-order-overflows"),
+    # c = 1e100 at c*sqrt(lambda)*dt = 0.004: the step coefficients' a1*a3 overflow, and at
+    # 1e-300 h^4 underflows to 0 against an infinite product; the march refuses what they give
+    pytest.param("fixedpoint", "two-mode", {"initial.position": [1e100], "horizon": 1e-99},
+                 EXIT_AUDIT_FAILED, "must be finite", id="step-coefficients-overflow"),
+    pytest.param("fixedpoint", "two-mode", {"initial.position": [1e100], "horizon": 1e-300},
+                 EXIT_AUDIT_FAILED, "must be finite", id="step-coefficients-invalid"),
 ]
 
 # Replacement values of the CLI fuzz: the double range's edges, huge ints, wrong types.
@@ -746,6 +765,57 @@ class TestDeterminism:
         assert lines[0] == "t,hamiltonian,induced_speed,state_gevrey_norm"
         t, ham, speed, _ = lines[1].split(",")
         assert float(t) == 0.0 and float(ham) == 0.0 and float(speed) == 1.0
+
+
+# The CLI's entry point under an address-space limit of its own: what the process has mapped
+# after import plus 256 MiB, so a 512 MiB march buffer cannot be had.
+MAIN_UNDER_MEMORY_LIMIT = """
+import resource, sys
+from kirchhofflab.cli import main
+with open("/proc/self/status") as status:
+    mapped = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+limit = mapped * 1024 + 2**28
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
+@pytest.mark.parametrize("command", ["simulate", "fixedpoint"])
+def test_a_failed_allocation_ends_in_one_line(tmp_path, command):
+    # 8,192 live modes x 4,096 points, at the parse bound count x points = 2^25; the limit
+    # is set in the child only
+    family = {"amplitude": 1e-6, "decay": 0.001, "modes": [1, 8192]}
+    cfg = mutated_copy(tmp_path, "band-limited-n16", {
+        "basis.count": 8192, "initial.family": family, "horizon": 0.02, "grid.steps": 4095,
+        "options.tol": 1e-300, "options.max_iter": 3})
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN_UNDER_MEMORY_LIMIT, command, "--config", cfg,
+         "--out-dir", str(out)],
+        env={**os.environ, "PYTHONPATH": str(Path(kirchhofflab.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=120,
+    )
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("scenario error: Unable to allocate"), lines
+    assert list(out.iterdir()) == []
+
+
+def test_linear_audit_runs_one_decay_quadrature_per_mode(monkeypatch):
+    # a mode's weighted energy and its decay integral come from one cumulative
+    from kirchhofflab import cli, linear
+
+    quadrature, mus = linear._decay_cumulative, []
+
+    def counted(coeff, eval_times, mu, cls, s):
+        mus.append(mu)
+        return quadrature(coeff, eval_times, mu, cls, s)
+
+    monkeypatch.setattr(linear, "_decay_cumulative", counted)
+    scn = load_scenario(scenario_path("linear-audit"))
+    assert cli.cmd_linear_audit(scn)[1] == EXIT_OK
+    assert mus == scn.build_basis().frequencies.tolist()
 
 
 def test_perfbench_trace_points_resolve():
