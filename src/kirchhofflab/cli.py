@@ -41,15 +41,12 @@ from .errors import HypothesisError, RangeOverflowError, ScenarioError, Stabilit
 from .linear import (LinearProblem, _mode_audit, decay_integral_bound, solve_linear,
                      verify_energy_bound)
 from .linear import approximate_energy, decay_integral  # noqa: F401, perfbench patches them here
-from .nonlinear import (
-    KirchhoffRun,
-    check_induced_speed,
-    direct_oracle,
-    fixed_point_solve,
-)
+from .nonlinear import KirchhoffRun, _oracle_blocks, check_induced_speed, fixed_point_solve
+from .nonlinear import direct_oracle  # noqa: F401, perfbench patches it here
 from .scenario import (ITER_SAMPLE_MODES, MAX_AUDIT_ROWS, MAX_ITER_MODE_SAMPLES, Scenario,
                        check_bound, check_tol, load_scenario)
-from .spectral import GevreyParams, dirichlet_energy, hamiltonian, sobolev_norm, gevrey_norm
+from .spectral import (_NORM_CHUNK, GevreyParams, _march_series, dirichlet_energy,
+                       gevrey_norm, hamiltonian, sobolev_norm)
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -112,17 +109,17 @@ def _build_run(scn: Scenario) -> KirchhoffRun:
     return KirchhoffRun(basis, scn.build_initial(basis), scn.horizon, scn.gevrey, scn.build_grid())
 
 
-def _trajectory(scn: Scenario, traj, certificate: cert.Certificate) -> tuple[tuple, dict]:
-    """The trajectory CSV job and the report fields that describe it."""
+def _trajectory(scn: Scenario, certificate: cert.Certificate, series) -> tuple[tuple, dict]:
+    """The trajectory CSV job, with the columns ``series(gp)`` at the norm's gp, and its report."""
     # Norm columns use the leftover radius eta' when it is positive.
     if certificate.eta_prime > 0.0:
         gp, which = GevreyParams(scn.gevrey.s, certificate.eta_prime), "eta_prime"
     else:
         gp, which = scn.gevrey, "eta"
-    ham = traj.hamiltonian_series()
+    columns = series(gp)  # t, H, sqrt(1 + D) and the norm
+    ham = columns[1]
     name = f"{scn.name}-trajectory.csv"
-    job = (name, ["t", "hamiltonian", "induced_speed", "state_gevrey_norm"],
-           [traj.times, ham, traj.induced_speed_series(), traj.state_gevrey_series(gp)])
+    job = (name, ["t", "hamiltonian", "induced_speed", "state_gevrey_norm"], columns)
     h0 = float(ham[0])
     drift = float(np.max(np.abs(ham - h0)) / max(h0, 1e-30))
     return job, {
@@ -135,8 +132,16 @@ def _trajectory(scn: Scenario, traj, certificate: cert.Certificate) -> tuple[tup
 
 
 def cmd_simulate(scn: Scenario) -> tuple:
-    traj = direct_oracle(_build_run(scn))
-    job, info = _trajectory(scn, traj, _scenario_certificate(scn))
+    # The oracle's blocks are reduced as they are marched: no (samples x modes) array is held.
+    run = _build_run(scn)
+    blocks = _oracle_blocks(run, _NORM_CHUNK)  # checks the guard
+    try:
+        certificate = _scenario_certificate(scn)  # it picks the norm's radius
+    except Exception:  # raised after the march's own errors
+        _march_series(blocks, run.basis, run.grid.size, None)
+        raise
+    job, info = _trajectory(scn, certificate, lambda gp: [
+        run.grid, *_march_series(blocks, run.basis, run.grid.size, gp)])
     info.update(name=scn.name, command="simulate")
     return [job, _report(f"{scn.name}-report.json", info)], EXIT_OK, None
 
@@ -149,7 +154,10 @@ def cmd_fixedpoint(scn: Scenario) -> tuple:
     report = fixed_point_solve(run, tol=scn.tol, max_iter=scn.max_iter)
     coeff = report.final_coeff
     certificate = _scenario_certificate(scn)
-    job, info = _trajectory(scn, report.live_solution or report.final_solution, certificate)
+    traj = report.live_solution or report.final_solution
+    job, info = _trajectory(scn, certificate, lambda gp: [
+        traj.times, traj.hamiltonian_series(), traj.induced_speed_series(),
+        traj.state_gevrey_series(gp)])
     image = check_induced_speed(coeff, M=certificate.M, K0=certificate.K0, q=certificate.q,
                                 T=scn.horizon, tol=1e-8)
     jobs = [

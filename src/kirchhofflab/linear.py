@@ -26,6 +26,7 @@ from .spectral import (
     SpectralState,
     Trajectory,
     _LOG_MAX,
+    _chunked,
     _data_norm_sq,
     _in_range,
     _increasing,
@@ -118,25 +119,29 @@ def _rk4_coefficients(h, a1, a2, a3, a4):
     )
 
 
-def _rk4_march(lam, v0, w0, m, degree, step_matrix):
-    """March the stacked state x = (v, w) over m samples; returns (V, W) of shape (modes, m).
+def _rk4_march(lam, v0, w0, m, degree, step_matrix, size=None):
+    """March the stacked state x = (v, w) over m samples; yields (V, W), each (modes, k), for
+    each consecutive block of k = ``size`` samples (default all m; the last may be short).
 
     Step i maps x to C @ (x, lambda*x, lambda^2*x), C being the (2, 6) matrix
     ``step_matrix(i, rows, x)``, where ``rows`` stacks lambda^j * x, j = 0..degree.
+    Every block is the same buffer, overwritten when the next block is asked for.
     """
-    n = lam.size
+    n, size = lam.size, min(size or m, m)
     powers = np.stack([lam**j for j in range(degree + 1)])[:, None]
     P = np.empty((degree + 1, 2, n))  # P[j] = lambda^j * x
     rows, low = P.reshape(2 * degree + 2, n), P[:3].reshape(6, n)
-    S = np.empty((2, m, n))  # S[:, i] is the state (v, w) at sample i
+    S = np.empty((2, size, n))  # S[:, i - start] is the state (v, w) at sample i
     S[:, 0] = v0, w0
     x = S[:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks finiteness
-        for i in range(m - 1):
-            np.multiply(powers, x, out=P)
-            x = np.matmul(step_matrix(i, rows, x), low, out=S[:, i + 1])
-    S.setflags(write=False)  # lets Trajectory adopt the buffer without a copy
-    return S[0].T, S[1].T
+    for start in range(0, m, size):
+        stop = min(start + size, m)
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller checks finiteness
+            for i in range(max(start, 1), stop):
+                np.multiply(powers, x, out=P)
+                x = np.matmul(step_matrix(i - 1, rows, x), low, out=S[:, i - start])
+        S.setflags(write=stop < m)  # lets Trajectory adopt the last block without a copy
+        yield S[0, :stop - start].T, S[1, :stop - start].T
 
 
 def _rk4_blocks(lam, v0, w0, steps):
@@ -188,7 +193,7 @@ def _rk4_modes(coeff, lam, v0, w0, grid):
     steps = np.stack(np.broadcast_arrays(*cv, *cw), axis=-1).reshape(-1, 2, 6)
     if lam.size <= BLOCK_MODES:
         return _rk4_blocks(lam, v0, w0, steps)
-    return _rk4_march(lam, v0, w0, grid.size, 2, lambda i, _rows, _x: steps[i])
+    return next(_rk4_march(lam, v0, w0, grid.size, 2, lambda i, _rows, _x: steps[i]))
 
 
 def solve_mode(
@@ -463,7 +468,8 @@ def verify_energy_bound(problem: LinearProblem, traj: Trajectory) -> EnergyBound
         w_vel = w * mu ** (2.0 * (sigma - 1.0))
     if not (np.isfinite(w_pos).all() and np.isfinite(w_vel).all()):
         raise RangeOverflowError("audit weight overflows double range")
-    lhs = cls.m0**2 * (w_pos @ traj.position**2) + w_vel @ traj.velocity**2
+    lhs = _chunked(lambda v, w: cls.m0**2 * (w_pos @ v**2) + w_vel @ w**2,
+                   traj.position, traj.velocity)
 
     if data_sq == 0.0:
         ratios = np.zeros(traj.times.size)

@@ -26,6 +26,7 @@ from .spectral import (
     Trajectory,
     _D_OVERFLOW,
     _increasing,
+    _speed_of,
     dirichlet_energy,
     hamiltonian,
     same_basis,
@@ -105,7 +106,7 @@ def _induced(coeff: CoefficientPath, run: KirchhoffRun):
     V, W = _rk4_modes(coeff, lam[live], init.position[live], init.velocity[live], grid)
     Trajectory._check_finite(V, W)
     D = Trajectory._dirichlet_of(lam[live], V)
-    return live, V, W, D, CoefficientPath(grid, np.sqrt(1.0 + D))
+    return live, V, W, D, CoefficientPath(grid, _speed_of(D))
 
 
 def induced_speed(coeff: CoefficientPath, run: KirchhoffRun) -> CoefficientPath:
@@ -167,6 +168,12 @@ def direct_oracle(run: KirchhoffRun) -> Trajectory:
     finite, as when lambda^3 overflows for eigenvalues above about 1e102,
     raises :class:`RangeOverflowError`.
     """
+    return Trajectory(run.basis, run.grid, *next(_oracle_blocks(run)))
+
+
+def _oracle_blocks(run: KirchhoffRun, size: int | None = None):
+    """:func:`direct_oracle`'s march as ``linear._rk4_march`` blocks of ``size`` samples; the
+    guard is checked on this call, and the steps run, and may raise, as the blocks are read."""
     lam = run.basis.eigenvalues
     _check_guard(run.speed_ceiling(), float(lam[-1]), run.grid)
     hs = np.diff(run.grid).tolist()
@@ -189,8 +196,7 @@ def direct_oracle(run: KirchhoffRun) -> Trajectory:
         return np.array(_rk4_coefficients(h, a1, a2, a3, a4))
 
     init = run.initial
-    V, W = _rk4_march(lam, init.position, init.velocity, run.grid.size, 3, step_matrix)
-    return Trajectory(run.basis, run.grid, V, W)
+    return _rk4_march(lam, init.position, init.velocity, run.grid.size, 3, step_matrix, size)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ from .errors import RangeOverflowError, _NonFiniteError
 _LOG_MAX = math.log(np.finfo(float).max)
 
 _D_OVERFLOW = "Dirichlet energy, and so the induced speed, overflows"
+_NON_FINITE = "trajectory entries must be finite"
 
 BASIS_KINDS = ("interval-dirichlet", "torus")
 
-# Samples per block of the norm series; bounds its (modes, samples) temporaries.
+# Samples per block of each series and of simulate's march; bounds their temporaries.
 _NORM_CHUNK = 256
 
 # A scaled sum of squares below this, from a sample that is not all zero, may
@@ -198,10 +199,8 @@ def dirichlet_energy(state: SpectralState) -> float:
 @np.errstate(over="ignore")
 def hamiltonian(state: SpectralState) -> float:
     """Conserved energy (D + V)/2 + D^2/4 with D the Dirichlet energy, V the kinetic term."""
-    d = dirichlet_energy(state)
     vdot = state.velocity
-    v = float(np.sum(vdot * vdot))
-    return 0.5 * (d + v) + 0.25 * d * d
+    return _hamiltonian_of(dirichlet_energy(state), float(np.sum(vdot * vdot)))
 
 
 def state_gevrey_norm(state: SpectralState, gp: GevreyParams) -> float:
@@ -224,6 +223,95 @@ def _as_coeffs(coeffs, basis: ModeBasis) -> np.ndarray:
     if not np.all(np.isfinite(c)):
         raise ValueError("coefficients must be finite")
     return c
+
+
+def _chunked(reduce, *rows) -> np.ndarray:
+    """``reduce`` of each consecutive _NORM_CHUNK-sample block of the (modes, samples) ``rows``."""
+    out = np.empty(rows[0].shape[1])
+    for i in range(0, out.size, _NORM_CHUNK):
+        out[i:i + _NORM_CHUNK] = reduce(*(r[:, i:i + _NORM_CHUNK] for r in rows))
+    return out
+
+
+@np.errstate(over="ignore")
+def _dirichlet_block(eigenvalues, position):  # D = sum lambda v^2 at each sample, inf on overflow
+    return eigenvalues @ (position * position)
+
+
+def _kinetic_block(velocity):  # V = sum w^2 at each sample
+    return np.sum(velocity * velocity, axis=0)
+
+
+def _checked_dirichlet(d) -> np.ndarray:  # read-only; RangeOverflowError if D overflowed
+    if not np.all(np.isfinite(d)):
+        raise RangeOverflowError(_D_OVERFLOW)
+    d.setflags(write=False)
+    return d
+
+
+def _hamiltonian_of(d, kinetic):  # H = (D + V)/2 + D^2/4
+    return 0.5 * (d + kinetic) + 0.25 * d * d
+
+
+def _speed_of(d):  # the induced speed sqrt(1 + D)
+    return np.sqrt(1.0 + d)
+
+
+def _norm_block(mu, gp: GevreyParams):
+    """The reducer of a block's (position, velocity) to log state_gevrey_norm^2 at each sample,
+    with weights for frequencies ``mu``; see :meth:`Trajectory.state_gevrey_series`."""
+    with np.errstate(over="ignore"):  # as gevrey_norm rounds them, sigma = 3/2 and 1/2
+        log_w = gp.eta * mu ** (1.0 / gp.s)
+        log_w = np.concatenate((log_w + 3.0 * np.log(mu), log_w + np.log(mu)))
+    log_w = np.minimum(log_w, np.finfo(float).max)  # so zero data still weighs 0
+    top_w = log_w.max()
+    w = np.exp(log_w - top_w)
+    scaled = w.min() >= np.finfo(float).tiny  # every scaled weight is a normal double
+    w_pos, w_vel = np.split(w, 2)
+
+    @np.errstate(divide="ignore", over="ignore")
+    def reduce(pos, vel):
+        if scaled:
+            sq = w_pos @ (pos * pos) + w_vel @ (vel * vel)
+            small = sq < _SUM_MIN
+            if np.all(np.isfinite(sq)) and not (
+                small.any() and (pos[:, small].any() or vel[:, small].any())
+            ):
+                return top_w + np.log(sq)
+        terms = 2.0 * np.log(np.abs(np.concatenate((pos, vel)))) + log_w[:, None]
+        top = terms.max(axis=0)
+        top[top == -np.inf] = 0.0
+        return top + np.log(np.exp(terms - top).sum(axis=0))
+
+    return reduce
+
+
+def _norm_of(log_sq) -> np.ndarray:
+    """The norms whose log squares are ``log_sq``; :class:`RangeOverflowError` past the range."""
+    if log_sq.max() > 2.0 * _LOG_MAX:
+        raise RangeOverflowError("weighted norm overflows double range",
+                                 log_value=0.5 * float(log_sq.max()))
+    return np.exp(0.5 * log_sq)
+
+
+def _march_series(blocks, basis: ModeBasis, m: int, gp: GevreyParams | None):
+    """H, sqrt(1 + D) and the norm at ``gp`` of the m samples of a march's consecutive
+    (position, velocity) ``blocks``, each block reduced as it comes.  The errors, in order, are
+    a Trajectory's and its series': an entry not finite (raised after the last block), D's
+    overflow, the norm's.  With ``gp`` None it only checks the entries."""
+    norm = None if gp is None else _norm_block(basis.frequencies, gp)
+    series, start, finite = np.empty((3, m)), 0, True
+    for pos, vel in blocks:
+        finite = finite and Trajectory._finite(pos, vel)
+        if finite and norm is not None:
+            series[:, start:start + pos.shape[1]] = (
+                _dirichlet_block(basis.eigenvalues, pos), _kinetic_block(vel), norm(pos, vel))
+        start += pos.shape[1]
+    if not finite:
+        raise _NonFiniteError(_NON_FINITE)
+    if norm is not None:
+        d = _checked_dirichlet(series[0])
+        return _hamiltonian_of(d, series[1]), _speed_of(d), _norm_of(series[2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,19 +344,18 @@ class Trajectory:
         object.__setattr__(self, "velocity", vel)
 
     @staticmethod
+    def _finite(position, velocity) -> bool:
+        return bool(np.all(np.isfinite(position)) and np.all(np.isfinite(velocity)))
+
+    @staticmethod
     def _check_finite(position, velocity) -> None:
-        if not (np.all(np.isfinite(position)) and np.all(np.isfinite(velocity))):
-            raise _NonFiniteError("trajectory entries must be finite")
+        if not Trajectory._finite(position, velocity):
+            raise _NonFiniteError(_NON_FINITE)
 
     @staticmethod
     def _dirichlet_of(eigenvalues, position) -> np.ndarray:
         """D = eigenvalues @ position^2, read-only; :class:`RangeOverflowError` on overflow."""
-        with np.errstate(over="ignore"):
-            d = eigenvalues @ (position * position)
-        if not np.all(np.isfinite(d)):
-            raise RangeOverflowError(_D_OVERFLOW)
-        d.setflags(write=False)
-        return d
+        return _checked_dirichlet(_chunked(lambda p: _dirichlet_block(eigenvalues, p), position))
 
     def state_at(self, i: int) -> SpectralState:
         return SpectralState(self.basis, self.position[:, i], self.velocity[:, i])
@@ -284,13 +371,11 @@ class Trajectory:
         return self._dirichlet
 
     def hamiltonian_series(self) -> np.ndarray:
-        d = self.dirichlet_series()
-        v = np.sum(self.velocity * self.velocity, axis=0)
-        return 0.5 * (d + v) + 0.25 * d * d
+        return _hamiltonian_of(self.dirichlet_series(), _chunked(_kinetic_block, self.velocity))
 
     def induced_speed_series(self) -> np.ndarray:
         """sqrt(1 + D(t)): the propagation speed the trajectory induces."""
-        return np.sqrt(1.0 + self.dirichlet_series())
+        return _speed_of(self.dirichlet_series())
 
     def state_gevrey_series(self, gp: GevreyParams) -> np.ndarray:
         """:func:`state_gevrey_norm` at every sample.
@@ -303,34 +388,5 @@ class Trajectory:
         :class:`RangeOverflowError` when a sample's norm exceeds the double
         range; all-zero samples have norm 0.
         """
-        mu = self.basis.frequencies
-        with np.errstate(over="ignore"):  # as gevrey_norm rounds them, sigma = 3/2 and 1/2
-            log_w = gp.eta * mu ** (1.0 / gp.s)
-            log_w = np.concatenate((log_w + 3.0 * np.log(mu), log_w + np.log(mu)))
-        log_w = np.minimum(log_w, np.finfo(float).max)  # so zero data still weighs 0
-        top_w = log_w.max()
-        w = np.exp(log_w - top_w)
-        scaled = w.min() >= np.finfo(float).tiny  # every scaled weight is a normal double
-        w_pos, w_vel = np.split(w, 2)
-        log_sq = np.empty(self.times.size)
-        with np.errstate(divide="ignore", over="ignore"):
-            for i in range(0, log_sq.size, _NORM_CHUNK):
-                cols = slice(i, i + _NORM_CHUNK)
-                pos, vel = self.position[:, cols], self.velocity[:, cols]
-                if scaled:
-                    sq = w_pos @ (pos * pos) + w_vel @ (vel * vel)
-                    small = sq < _SUM_MIN
-                    if np.all(np.isfinite(sq)) and not (
-                        small.any() and (pos[:, small].any() or vel[:, small].any())
-                    ):
-                        log_sq[cols] = top_w + np.log(sq)
-                        continue
-                terms = 2.0 * np.log(np.abs(np.concatenate((pos, vel)))) + log_w[:, None]
-                top = terms.max(axis=0)
-                top[top == -np.inf] = 0.0
-                log_sq[cols] = top + np.log(np.exp(terms - top).sum(axis=0))
-        if log_sq.max() > 2.0 * _LOG_MAX:
-            raise RangeOverflowError(
-                "weighted norm overflows double range", log_value=0.5 * float(log_sq.max())
-            )
-        return np.exp(0.5 * log_sq)
+        reduce = _norm_block(self.basis.frequencies, gp)
+        return _norm_of(_chunked(reduce, self.position, self.velocity))

@@ -137,7 +137,7 @@ def step_stack(coeff, grid):
 def full_march(coeff, lam, v0, w0, grid):
     """The per-step loop that marches every mode, zero-data modes included."""
     steps = step_stack(coeff, grid)
-    return _rk4_march(lam, v0, w0, grid.size, 2, lambda i, _rows, _x: steps[i])
+    return next(_rk4_march(lam, v0, w0, grid.size, 2, lambda i, _rows, _x: steps[i]))
 
 
 def march_in_order(marched, coeff, lam, v0, w0, grid):
@@ -597,7 +597,7 @@ def audit_path(freeze, speed, cls, s, steps, mu):
     ``freeze`` says: nowhere ("low", the low-frequency branch), between grid points, on one,
     or past the path's end."""
     low, t_f = _freeze_time(mu, cls, s)
-    if low != (freeze == "low") or (freeze == "past" and not t_f > 0.5):
+    if low != (freeze == "low") or (freeze == "past" and not 0.5 < t_f < 1.0):
         reject()
     grid = graded_grid(1.0, 1.0 / steps, 0.9, 2.0 * (1.0 - t_f) if freeze == "past" else 1e-9)
     if freeze == "on":

@@ -34,7 +34,8 @@ from kirchhofflab import (
 from kirchhofflab.certificate import _M_MARGIN
 from kirchhofflab.cli import _build_run
 from kirchhofflab.linear import GUARD
-from kirchhofflab.nonlinear import _induced
+from kirchhofflab.nonlinear import _induced, _oracle_blocks
+from kirchhofflab.spectral import _NORM_CHUNK, _march_series
 from kirchhofflab.scenario import load_scenario
 
 from conftest import SCENARIO_DIR
@@ -399,6 +400,27 @@ class TestDirectOracle:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RangeOverflowError, match="stage speed"):
                 direct_oracle(run)
+
+    @pytest.mark.parametrize("size", [1, 7, 256, None])
+    def test_blocks_are_the_trajectory(self, size):
+        # the march hands back consecutive blocks of one reused buffer, the last one short
+        run = make_run([0.2, 0.1], velocities=[0.05], n=8, steps=2 * 256 + 36)
+        traj = direct_oracle(run)
+        blocks = [(V.copy(), W.copy()) for V, W in _oracle_blocks(run, size)]
+        assert {V.shape[1] for V, _ in blocks[:-1]} <= {size}
+        assert same_bits(np.concatenate([V for V, _ in blocks], axis=1), traj.position)
+        assert same_bits(np.concatenate([W for _, W in blocks], axis=1), traj.velocity)
+
+    def test_streamed_series_are_the_trajectory_series(self):
+        # simulate reduces each 256-sample block as it is marched, with the reducers that the
+        # whole trajectory's series run on the same blocks
+        run = make_run([0.2, 0.1], velocities=[0.05], n=8, steps=2 * 256 + 36)
+        traj = direct_oracle(run)
+        blocks = _oracle_blocks(run, _NORM_CHUNK)
+        ham, speed, norm = _march_series(blocks, run.basis, run.grid.size, GP)
+        assert same_bits(ham, traj.hamiltonian_series())
+        assert same_bits(speed, traj.induced_speed_series())
+        assert same_bits(norm, traj.state_gevrey_series(GP))
 
     def test_time_reversal(self):
         run = make_run([0.15, 0.05], n=4, steps=2000)

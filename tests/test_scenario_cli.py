@@ -768,38 +768,109 @@ class TestDeterminism:
 
 
 # The CLI's entry point under an address-space limit of its own: what the process has mapped
-# after import plus 256 MiB, so a 512 MiB march buffer cannot be had.
+# after import plus the MiB of its first argument.
 MAIN_UNDER_MEMORY_LIMIT = """
 import resource, sys
 from kirchhofflab.cli import main
 with open("/proc/self/status") as status:
     mapped = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
-limit = mapped * 1024 + 2**28
+limit = mapped * 1024 + int(sys.argv[1]) * 2**20
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-sys.exit(main(sys.argv[1:]))
+sys.exit(main(sys.argv[2:]))
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
-@pytest.mark.parametrize("command", ["simulate", "fixedpoint"])
-def test_a_failed_allocation_ends_in_one_line(tmp_path, command):
-    # 8,192 live modes x 4,096 points, at the parse bound count x points = 2^25; the limit
-    # is set in the child only
+def corner_under_limit(tmp_path, command, headroom_mib):
+    """``command`` on 8,192 live modes x 4,096 points, at the parse bound count x points = 2^25,
+    in a child whose address space may grow by ``headroom_mib``; the limit is set in the child
+    only.  Returns the finished child, the output directory and the scenario file."""
     family = {"amplitude": 1e-6, "decay": 0.001, "modes": [1, 8192]}
     cfg = mutated_copy(tmp_path, "band-limited-n16", {
         "basis.count": 8192, "initial.family": family, "horizon": 0.02, "grid.steps": 4095,
         "options.tol": 1e-300, "options.max_iter": 3})
     out = tmp_path / "out"
     proc = subprocess.run(
-        [sys.executable, "-c", MAIN_UNDER_MEMORY_LIMIT, command, "--config", cfg,
-         "--out-dir", str(out)],
+        [sys.executable, "-c", MAIN_UNDER_MEMORY_LIMIT, str(headroom_mib), command,
+         "--config", cfg, "--out-dir", str(out)],
         env={**os.environ, "PYTHONPATH": str(Path(kirchhofflab.__file__).resolve().parents[1])},
         capture_output=True, text=True, timeout=120,
     )
+    return proc, out, cfg
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
+@pytest.mark.parametrize("command, headroom_mib", [
+    # simulate marches in 256-sample blocks: at 8,192 modes one block is 32 MiB
+    pytest.param("simulate", 16, id="simulate"),
+    # fixedpoint holds its live rows: one march buffer is 512 MiB
+    pytest.param("fixedpoint", 256, id="fixedpoint"),
+])
+def test_a_failed_allocation_ends_in_one_line(tmp_path, command, headroom_mib):
+    proc, out, _ = corner_under_limit(tmp_path, command, headroom_mib)
     lines = proc.stderr.splitlines()
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert len(lines) == 1 and lines[0].startswith("scenario error: Unable to allocate"), lines
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
+def test_simulate_holds_no_samples_by_modes_array(tmp_path):
+    # the corner's (2 x 4,096 x 8,192) trajectory is 512 MiB; the streamed run fits in 256
+    proc, out, cfg = corner_under_limit(tmp_path, "simulate", 256)
+    assert proc.returncode == EXIT_OK and proc.stderr == "", proc.stderr
+    free = tmp_path / "unlimited"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(free)]) == EXIT_OK
+    names = sorted(p.name for p in free.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names and len(names) == 2
+    for name in names:
+        assert (out / name).read_bytes() == (free / name).read_bytes(), name
+
+
+# seed 7919's 64-mode benchmark cell: its D(t) series is one gemv per block of samples, and a
+# gemv over all 9,956 samples is split across BLAS threads at a column the blocks do not share
+BLAS_THREADS_DOC = {
+    "name": "n64", "basis": {"kind": "interval-dirichlet", "count": 64},
+    "initial": {"family": {"amplitude": 0.458576, "decay": 1.0, "modes": [1, 64]}},
+    "gevrey": {"s": 2.0, "eta": 2.0}, "horizon": 1.0, "grid": {"steps": 9955},
+}
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                    reason="needs 2 usable CPUs")
+@pytest.mark.parametrize("command", ["simulate", "fixedpoint"])
+def test_artefacts_do_not_depend_on_the_blas_thread_count(tmp_path, command):
+    cfg = write_doc(tmp_path, BLAS_THREADS_DOC)
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "kirchhofflab.cli", command, "--config", cfg,
+             "--out-dir", str(out)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                 "PYTHONPATH": str(Path(kirchhofflab.__file__).resolve().parents[1])},
+            capture_output=True, timeout=120,
+        )
+        written.append((proc.returncode, {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert written[0][0] in (EXIT_OK, EXIT_NO_CONVERGENCE) and len(written[0][1]) > 1
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("changes, first", [
+    # the certificate's norm and the oracle's guard both fail: the guard is checked first
+    ({"gevrey.eta": 1e300, "horizon": 1e300}, "grid too coarse"),
+    # only the certificate fails: its error comes after the march
+    ({"gevrey.eta": 1e300}, "weighted norm overflows"),
+])
+def test_simulate_raises_the_march_errors_before_the_certificate(tmp_path, capsys, changes,
+                                                                 first):
+    # simulate's certificate picks the norm's radius before the march, yet its error is
+    # raised after the march's own, in the order of a march that comes first
+    cfg = mutated_copy(tmp_path, "band-limited-n16", changes)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == EXIT_AUDIT_FAILED
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and first in lines[0], lines
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_linear_audit_runs_one_decay_quadrature_per_mode(monkeypatch):

@@ -27,6 +27,16 @@ checkouts print the same lines when they behave the same:
     diff <(python3 tools/artefact_digests.py OLD --workers 2) \\
          <(python3 tools/artefact_digests.py NEW --workers 2)
 
+A checkout whose artefacts depend on the BLAS thread count prints different
+hashes at different thread counts: before its per-sample series were summed
+over modes in blocks of 256 samples, OpenBLAS split a matrix-vector product
+over all samples across its threads, and the columns at the split took another
+kernel path.  So take a reference from such a checkout at one thread, which
+does not depend on how many CPUs the host has, and compare a newer checkout
+with it at any thread count:
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/artefact_digests.py OLD --workers N
+
 Nothing in CHECKOUT is written, bytecode included.
 """
 from __future__ import annotations
