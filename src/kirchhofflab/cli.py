@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import certificate as cert
-from .coefficient import AdmissibleClass, _csv_cells, _write_csv, check_admissibility
+from .coefficient import AdmissibleClass, _shared, _write_files, check_admissibility
 from .errors import HypothesisError, RangeOverflowError, ScenarioError, StabilityError
 from .linear import (LinearProblem, _mode_audit, decay_integral_bound, solve_linear,
                      verify_energy_bound)
@@ -155,9 +155,9 @@ def cmd_fixedpoint(scn: Scenario) -> tuple:
     coeff = report.final_coeff
     certificate = _scenario_certificate(scn)
     traj = report.live_solution or report.final_solution
-    job, info = _trajectory(scn, certificate, lambda gp: [
-        traj.times, traj.hamiltonian_series(), traj.induced_speed_series(),
-        traj.state_gevrey_series(gp)])
+    job, info = _trajectory(scn, certificate, lambda gp: [  # t and c: formatted once for both CSVs
+        _shared(traj.times, coeff.times), traj.hamiltonian_series(),
+        _shared(traj.induced_speed_series(), coeff.values), traj.state_gevrey_series(gp)])
     image = check_induced_speed(coeff, M=certificate.M, K0=certificate.K0, q=certificate.q,
                                 T=scn.horizon, tol=1e-8)
     jobs = [
@@ -166,20 +166,12 @@ def cmd_fixedpoint(scn: Scenario) -> tuple:
         (f"{scn.name}-coefficient.csv", ["t", "c"], [coeff.times, coeff.values]),
         job,
     ]
-    info.update(
-        {
-            "name": scn.name,
-            "command": "fixedpoint",
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "distances": list(report.distances),
-            "tolerance": scn.tol,
-            "certificate": certificate.as_dict(),
-            "image_audit": _fields(image, "passed", "failures", "worst_lower_margin",
-                                   "worst_upper_margin", "worst_envelope_margin",
-                                   "worst_uniform_margin"),
-        }
-    )
+    info.update(name=scn.name, command="fixedpoint", converged=report.converged,
+                iterations=report.iterations, distances=list(report.distances), tolerance=scn.tol,
+                certificate=certificate.as_dict(),
+                image_audit=_fields(image, "passed", "failures", "worst_lower_margin",
+                                    "worst_upper_margin", "worst_envelope_margin",
+                                    "worst_uniform_margin"))
     if not report.converged:
         code = EXIT_NO_CONVERGENCE
         message = f"{scn.name}: fixed point did not converge in {report.iterations} iterations"
@@ -191,16 +183,8 @@ def cmd_fixedpoint(scn: Scenario) -> tuple:
     return [*jobs, _report(f"{scn.name}-report.json", info)], code, message
 
 
-def _write(path, header, body) -> None:
-    """Write one artefact: CSV columns under ``header``, or a report's text if it is None."""
-    if header is None:
-        Path(path).write_text(body, encoding="utf-8")
-    else:
-        _write_csv(path, header, body)
-
-
 def _write_csvs(jobs: list[tuple], workers: int) -> None:
-    """Write each ``(path, header, body)`` artefact of ``jobs`` with :func:`_write`.
+    """Write each ``(path, header, body)`` artefact of ``jobs`` with :func:`_write_files`.
 
     Forked child ``r`` of ``workers - 1`` writes ``jobs[r::workers]`` and this
     process writes ``jobs[0::workers]``, then reaps every child.  A write or
@@ -219,8 +203,7 @@ def _write_csvs(jobs: list[tuple], workers: int) -> None:
                 status = 1
                 try:
                     os.close(read_end)
-                    for job in jobs[rank::workers]:
-                        _write(*job)
+                    _write_files(jobs[rank::workers])
                     status = 0
                 except (OSError, MemoryError) as exc:
                     os.write(write_end, (str(exc) or "out of memory").encode()[:4096])
@@ -228,8 +211,7 @@ def _write_csvs(jobs: list[tuple], workers: int) -> None:
                     os._exit(status)  # never return into the caller's stack
             os.close(write_end)
             children.append((pid, read_end, jobs[rank][0]))
-        for job in jobs[0::workers]:
-            _write(*job)
+        _write_files(jobs[0::workers])
     except (OSError, MemoryError) as exc:
         errors.append(str(exc) or "out of memory")
     finally:
@@ -259,14 +241,8 @@ def cmd_linear_audit(scn: Scenario) -> tuple:
                 MAX_AUDIT_ROWS)
     coeff = speed.sample(grid)
     cls = AdmissibleClass(q=m.q, M=m.M, K0=m.amplitude, T=scn.horizon, m0=m.m0)
-    problem = LinearProblem(
-        basis=basis,
-        coeff=coeff,
-        cls=cls,
-        initial=scn.build_initial(basis),
-        sigma=scn.sigma,
-        gevrey=scn.gevrey,
-    )
+    problem = LinearProblem(basis=basis, coeff=coeff, cls=cls, initial=scn.build_initial(basis),
+                            sigma=scn.sigma, gevrey=scn.gevrey)
 
     admissibility = check_admissibility(coeff, cls, tol=1e-12)
     traj = solve_linear(problem, grid)
@@ -274,7 +250,6 @@ def cmd_linear_audit(scn: Scenario) -> tuple:
 
     mono_rtol = 1e-6
     quad_tol = 1e-6
-    t_cells = list(_csv_cells(traj.times))  # every mode CSV shares the time column
     modes, jobs = [], []
     all_ok = True
     for k in range(basis.count):
@@ -286,17 +261,9 @@ def cmd_linear_audit(scn: Scenario) -> tuple:
         ok = worst_uptick <= mono_rtol and integral <= bound_k + quad_tol
         all_ok = all_ok and ok
         jobs.append((f"{scn.name}-mode{k + 1}.csv", ["t", "v", "vdot", "E"],
-                     [t_cells, v, vdot, energy]))
-        modes.append(
-            {
-                "mode": k + 1,
-                "mu": mu,
-                "worst_energy_uptick": worst_uptick,
-                "decay_integral": integral,
-                "decay_integral_bound": bound_k,
-                "ok": ok,
-            }
-        )
+                     [traj.times, v, vdot, energy]))  # t: formatted once per group of files
+        modes.append({"mode": k + 1, "mu": mu, "worst_energy_uptick": worst_uptick,
+                      "decay_integral": integral, "decay_integral_bound": bound_k, "ok": ok})
 
     passed = bool(admissibility.passed and bound.passed and all_ok)
     audit = {

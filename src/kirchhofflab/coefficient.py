@@ -8,6 +8,8 @@ operation used here.
 """
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -19,26 +21,46 @@ from .spectral import _increasing, _readonly
 # Rows formatted per block: column-wise formatting is fast, and blocks keep
 # the Python floats and strings of a long trajectory from all living at once.
 _CSV_BLOCK = 1024
+_OPEN_FILES = 32  # the most files a writer holds open
 
 
-def _csv_cells(column, rows: slice = slice(None)):
-    """Cells of ``column[rows]``: a list of strings is already formatted."""
-    if isinstance(column, list):
-        return column[rows]
+def _csv_cells(column, rows: slice):
+    """Cells of ``column[rows]``."""
     c = np.asarray(column)[rows]
     if np.issubdtype(c.dtype, np.integer):
         return map(str, c.tolist())
     return map(repr, c.astype(float).tolist())
 
 
-def _write_csv(path, header: list[str], columns: list) -> None:
-    """Write CSV columns: arrays, or lists of cells from :func:`_csv_cells`."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        for i in range(0, len(columns[0]), _CSV_BLOCK):
-            rows = slice(i, i + _CSV_BLOCK)
-            cells = [_csv_cells(c, rows) for c in columns]
-            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+def _shared(column, like):
+    """``like`` if its bits equal those of ``column``, so that files holding both format it
+    once (see :func:`_write_files`); else ``column``."""
+    a, b = np.asarray(column), np.asarray(like)
+    same = a.shape == b.shape and a.dtype == b.dtype == np.float64
+    return like if same and np.array_equal(a.view(np.int64), b.view(np.int64)) else column
+
+
+def _write_files(files) -> None:
+    """Write every ``(path, header, body)`` of ``files``: CSV columns under ``header``, or a
+    report's text if it is None.  Up to _OPEN_FILES consecutive files are open at once; their
+    rows go out in blocks of _CSV_BLOCK, and a column object that several of them hold is
+    formatted once a block."""
+    for group in (files[i:i + _OPEN_FILES] for i in range(0, len(files), _OPEN_FILES)):
+        with contextlib.ExitStack() as stack:
+            csvs = []
+            for path, header, body in group:
+                f = stack.enter_context(open(path, "w", encoding="utf-8"))
+                f.write(body if header is None else ",".join(header) + "\n")
+                csvs += [] if header is None else [(f, body, len(body[0]))]
+            uses = collections.Counter(id(c) for _, columns, _ in csvs for c in columns)
+            shared = {id(c): c for _, columns, _ in csvs for c in columns if uses[id(c)] > 1}
+            for i in range(0, max((n for *_, n in csvs), default=0), _CSV_BLOCK):
+                rows = slice(i, i + _CSV_BLOCK)
+                cells = {key: list(_csv_cells(c, rows)) for key, c in shared.items()}
+                for f, columns, n in csvs:
+                    if i < n:
+                        block = [cells.get(id(c)) or _csv_cells(c, rows) for c in columns]
+                        f.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 @dataclass(frozen=True)
@@ -132,7 +154,7 @@ class CoefficientPath:
         )
 
     def to_csv(self, path) -> None:
-        _write_csv(path, ["t", "c"], [self.times, self.values])
+        _write_files([(path, ["t", "c"], [self.times, self.values])])
 
     @classmethod
     def from_csv(cls, path) -> "CoefficientPath":

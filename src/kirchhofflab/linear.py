@@ -149,33 +149,38 @@ def _rk4_blocks(lam, v0, w0, steps):
     steps (Blelloch's two-level scan): each block's product of 2x2 propagators, all blocks at
     once; the block start states, in turn; then the steps of every block at once.  The block
     products are held as P - I, so that products of steps near the identity keep their digits.
-    No sum runs across modes, so each row's bits depend on its own mode's data alone."""
+    No sum runs across modes, so each row's bits depend on its own mode's data alone.
+    Phase j, step j of every block, runs on contiguous [row, col, mode, block] arrays, so numpy
+    loops along the blocks, not the few modes: each element sees the same operations in the same
+    order as in any layout, and (2, samples, modes) S gets the same bits."""
     m, n = steps.shape[0] + 1, lam.size
     size = max(1, math.isqrt((m - 1) // 4))  # of count blocks, only the last may be short
     count = -(-(m - 1) // size)
-    K = steps.reshape(-1, 2, 3, 2).transpose(2, 1, 3, 0)[..., None]  # [lambda^k, row, col, step]
+    K = steps.reshape(-1, 2, 3, 2).transpose(2, 1, 3, 0)[..., None, :]  # [lam^k, row, col, 1, i]
     S = np.empty((2, m, n))
     S[:, 0] = v0, w0
     with np.errstate(over="ignore", invalid="ignore"):  # the caller checks finiteness
         lam2 = lam * lam  # inf where lambda^2 overflows, as in the loop
 
-        def propagators(j, stop=None, less=0.0):  # [row, col, block, mode] of step j, minus less
-            a, b, d = K[..., j::size, :][..., :stop, :]
-            return (a - less) + b * lam + d * lam2
+        def propagators(j, stop=None, less=0.0):  # [row, col, mode, block] of step j, minus less
+            a, b, d = np.ascontiguousarray(K[..., j::size][..., :stop])
+            return (a - less) + b * lam[:, None] + d * lam2[:, None]
 
         eye = np.eye(2)[:, :, None, None]  # (I + E)(I + T) = I + (E @ T + E + T)
         total = propagators(0, count - 1, eye)  # the last block's product is never used
         for j in range(1, size):
             E = propagators(j, count - 1, eye)
             total = (E[:, 0, None] * total[0] + E[:, 1, None] * total[1]) + E + total
-        for b in range(1, count):
-            x = S[:, (b - 1) * size]
-            S[:, b * size] = x + (total[:, 0, b - 1] * x[0] + total[:, 1, b - 1] * x[1])
+        x = S[:, 0]
+        for b, (t0, t1) in enumerate(zip(*total.transpose(1, 3, 0, 2)), 1):  # [row, mode] each
+            S[:, b * size] = x = x + (t0 * x[0] + t1 * x[1])
+        total = E = None  # the block products go before the fill allocates
+        # -0.0 + 0.0 is +0.0, which every guarded step keeps; the last phase rewrites the starts
+        x = np.ascontiguousarray(S[:, 0::size][:, :count].transpose(0, 2, 1)) + 0.0
         for j in range(size):
             P = propagators(j)
-            x = S[:, j::size][:, :P.shape[2]]
-            x = x + 0.0 if j == 0 else x  # -0.0 + 0.0 is +0.0, which every guarded step keeps
-            np.add(P[:, 0] * x[0], P[:, 1] * x[1], out=S[:, j + 1::size])
+            x = P[:, 0] * x[0, :, :P.shape[3]] + P[:, 1] * x[1, :, :P.shape[3]]
+            S[:, j + 1::size] = x.transpose(0, 2, 1)
         # a row whose lambda^2 * x overflows before the last sample ends non-finite, as in the loop
         if not max(S.max(initial=0.0), -S.min(initial=0.0)) * lam2.max(initial=0.0) < np.inf:
             reach = np.maximum(S[:, :-1].max(axis=(0, 1)), -S[:, :-1].min(axis=(0, 1))) * lam2

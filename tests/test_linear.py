@@ -295,6 +295,73 @@ class TestBlockMarch:
                             [1e308], [1e308], grid)
 
 
+
+def reference_rk4_blocks(lam, v0, w0, steps):
+    """The block march in its [row, col, block, mode] layout, which _rk4_blocks must match bit
+    for bit: the same scan, with the few modes innermost in every phase."""
+    m, n = steps.shape[0] + 1, lam.size
+    size = max(1, math.isqrt((m - 1) // 4))
+    count = -(-(m - 1) // size)
+    K = steps.reshape(-1, 2, 3, 2).transpose(2, 1, 3, 0)[..., None]  # [lambda^k, row, col, step]
+    S = np.empty((2, m, n))
+    S[:, 0] = v0, w0
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam2 = lam * lam
+
+        def propagators(j, stop=None, less=0.0):  # [row, col, block, mode]
+            a, b, d = K[..., j::size, :][..., :stop, :]
+            return (a - less) + b * lam + d * lam2
+
+        eye = np.eye(2)[:, :, None, None]
+        total = propagators(0, count - 1, eye)
+        for j in range(1, size):
+            E = propagators(j, count - 1, eye)
+            total = (E[:, 0, None] * total[0] + E[:, 1, None] * total[1]) + E + total
+        for b in range(1, count):
+            x = S[:, (b - 1) * size]
+            S[:, b * size] = x + (total[:, 0, b - 1] * x[0] + total[:, 1, b - 1] * x[1])
+        for j in range(size):
+            P = propagators(j)
+            x = S[:, j::size][:, :P.shape[2]]
+            x = x + 0.0 if j == 0 else x
+            np.add(P[:, 0] * x[0], P[:, 1] * x[1], out=S[:, j + 1::size])
+        if not max(S.max(initial=0.0), -S.min(initial=0.0)) * lam2.max(initial=0.0) < np.inf:
+            reach = np.maximum(S[:, :-1].max(axis=(0, 1)), -S[:, :-1].min(axis=(0, 1))) * lam2
+            S[:, -1, ~(reach < np.inf)] = np.inf
+    return S[0].T, S[1].T
+
+
+@st.composite
+def block_layout_cases(draw):
+    """1 to BLOCK_MODES modes and 2 to 5,184 samples, with blocks of 1 to 35 steps that (m - 1)
+    fills exactly or not; zeros of either sign in the data, and at times a row whose
+    lambda^2 * x overflows at the first sample."""
+    n = draw(st.integers(1, BLOCK_MODES))
+    size = draw(st.integers(0, 35))  # isqrt((m - 1) // 4), and 1 below 4 steps
+    steps = draw(st.integers(max(1, 4 * size * size), 4 * (size + 1) ** 2 - 1))
+    if size and draw(st.booleans()):
+        steps -= steps % size
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    freqs = np.unique(rng.uniform(0.1, 64.0, n))
+    values = rng.uniform(1.0, 2.0, steps + 1)
+    grid = uniform_grid(draw(st.floats(0.05, 1.0)) * GUARD / (values.max() * freqs[-1]) * steps,
+                        steps)
+    v0, w0 = rng.uniform(-1.0, 1.0, (2, freqs.size))
+    for x in (v0, w0):
+        x[rng.random(freqs.size) < 0.3] = draw(st.sampled_from([0.0, -0.0]))
+    if draw(st.booleans()) and freqs[-1] > 3.0:
+        v0[-1] = 1e307  # lambda^2 * v0 is past the double range
+    return freqs * freqs, v0, w0 * freqs, step_stack(CoefficientPath(grid, values), grid)
+
+
+class TestBlockLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(block_layout_cases())
+    def test_the_march_keeps_every_bit_of_the_mode_inner_layout(self, case):
+        for new, old in zip(_rk4_blocks(*case), reference_rk4_blocks(*case)):
+            assert new.shape == old.shape
+            assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
 def stagewise_rk4_step(lam, v, w, h, a1, a2, a3, a4):
     """One classical RK4 step of v' = w, w' = -a lam v whose stage k sees a = a_k."""
     k1v, k1w = w, -a1 * lam * v

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kirchhofflab
-from kirchhofflab import ScenarioError
+from kirchhofflab import ScenarioError, coefficient
 from kirchhofflab.cli import (
     COMMANDS as CLI_COMMANDS,
     EXIT_AUDIT_FAILED,
@@ -31,6 +31,7 @@ from kirchhofflab.cli import (
     _write_csvs,
     main,
 )
+from kirchhofflab.coefficient import _shared
 from kirchhofflab.nonlinear import fixed_point_solve
 from kirchhofflab.scenario import (
     COMMANDS,
@@ -528,7 +529,8 @@ class TestCliExitCodes:
         assert out == ""
         assert list((tmp_path / "out").iterdir()) == []
 
-    @pytest.mark.parametrize("blocked", ["two-mode-trajectory.csv", "two-mode-report.json"])
+    @pytest.mark.parametrize("blocked", ["two-mode-trajectory.csv", "two-mode-report.json",
+                                         "two-mode-coefficient.csv"])
     def test_unwritable_fixedpoint_csv_leaves_no_csv(self, tmp_path, blocked):
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
@@ -547,6 +549,53 @@ class TestCliExitCodes:
                      "--out-dir", str(tmp_path / "out")]) == EXIT_OK
         cli_csv = (tmp_path / "out" / "two-mode-coefficient.csv").read_bytes()
         assert cli_csv == (tmp_path / "expected.csv").read_bytes()
+
+    def test_coefficient_csv_is_the_trajectory_t_and_induced_speed(self, tmp_path):
+        assert main(["fixedpoint", "--config", str(scenario_path("two-mode")),
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        coeff = (tmp_path / "two-mode-coefficient.csv").read_text().splitlines()
+        rows = [row.split(",") for row in
+                (tmp_path / "two-mode-trajectory.csv").read_text().splitlines()[1:]]
+        assert coeff[0] == "t,c" and len(rows) > 1000
+        assert coeff[1:] == [f"{t},{speed}" for t, _, speed, _ in rows]
+
+    def test_a_column_off_by_its_last_bit_is_formatted_on_its_own(self, tmp_path, monkeypatch):
+        formatted = []
+        cells = coefficient._csv_cells
+        monkeypatch.setattr(coefficient, "_csv_cells",
+                            lambda c, rows: formatted.append(id(c)) or cells(c, rows))
+        t = np.linspace(0.0, 1.0, 3 * coefficient._CSV_BLOCK // 2)
+        c = 1.0 + t * t
+        near = np.nextafter(c, np.inf)
+        near[:-1] = c[:-1]  # one ulp apart at the last sample only
+        assert _shared(c.copy(), c) is c and _shared(near, c) is near
+        assert _shared(np.array([-0.0]), np.array([0.0])).tobytes() == np.array([-0.0]).tobytes()
+        coefficient._write_files([(tmp_path / "a.csv", ["t", "c"], [t, c]),
+                                  (tmp_path / "b.csv", ["t", "c"], [t, _shared(c.copy(), c)]),
+                                  (tmp_path / "n.csv", ["t", "c"], [t, _shared(near, c)])])
+        assert formatted == [id(t), id(c), id(near)] * 2  # once a block, near on its own
+        a, b, n = ((tmp_path / f"{k}.csv").read_text().splitlines() for k in "abn")
+        assert a == b and a[:-1] == n[:-1] and a[-1] != n[-1]
+        assert n[-1] == f"{float(t[-1])!r},{float(near[-1])!r}" and near[-1] != c[-1]
+
+    def test_a_writer_holds_at_most_its_open_files_at_once(self, tmp_path, monkeypatch):
+        # the mode files of linear-audit's scenario at one writer, three files at a time
+        cfg = str(scenario_path("linear-audit"))
+        argv = ["linear-audit", "--config", cfg, "--workers", "1", "--out-dir"]
+        assert main([*argv, str(tmp_path / "all")]) == EXIT_OK
+        files, most = [], []
+
+        def counted_open(*args, **kwargs):
+            files.append(open(*args, **kwargs))
+            most.append(sum(not f.closed for f in files))
+            return files[-1]
+
+        monkeypatch.setattr(coefficient, "open", counted_open, raising=False)
+        monkeypatch.setattr(coefficient, "_OPEN_FILES", 3)
+        assert main([*argv, str(tmp_path / "three")]) == EXIT_OK
+        assert max(most) == 3 and len(files) > 3 * coefficient._OPEN_FILES
+        assert ({p.name: p.read_bytes() for p in (tmp_path / "three").iterdir()}
+                == {p.name: p.read_bytes() for p in (tmp_path / "all").iterdir()})
 
     def test_run_reads_no_environment_variable_for_workers(self, tmp_path):
         # --workers is the only input for the writer count: a former variable changes nothing
