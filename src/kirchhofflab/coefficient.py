@@ -15,21 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import floattext
 from .errors import RangeOverflowError
 from .spectral import _increasing, _readonly
 
-# Rows formatted per block: column-wise formatting is fast, and blocks keep
-# the Python floats and strings of a long trajectory from all living at once.
+# Rows formatted per block: column-wise formatting is fast, and a block's
+# buffers, O(_CSV_BLOCK x columns) bytes, are all a writer holds at once.
 _CSV_BLOCK = 1024
 _OPEN_FILES = 32  # the most files a writer holds open
 
 
-def _csv_cells(column, rows: slice):
-    """Cells of ``column[rows]``."""
+def _csv_cells(column, rows: slice) -> np.ndarray:
+    """Cells of ``column[rows]`` as a (rows, ``floattext.CELL``) uint8 array, one row a cell:
+    its text and a "," among NUL bytes, which the writer drops.  An integer cell's text is
+    ``str`` of the value; a float cell's is exactly ``repr(float(x))`` (see :mod:`.floattext`)."""
     c = np.asarray(column)[rows]
     if np.issubdtype(c.dtype, np.integer):
-        return map(str, c.tolist())
-    return map(repr, c.astype(float).tolist())
+        return floattext.text_cells(map(str, c.tolist()), c.size)
+    return floattext.repr_cells(c.astype(float))
 
 
 def _shared(column, like):
@@ -43,24 +46,30 @@ def _shared(column, like):
 def _write_files(files) -> None:
     """Write every ``(path, header, body)`` of ``files``: CSV columns under ``header``, or a
     report's text if it is None.  Up to _OPEN_FILES consecutive files are open at once; their
-    rows go out in blocks of _CSV_BLOCK, and a column object that several of them hold is
-    formatted once a block."""
+    rows go out in blocks of _CSV_BLOCK, one ``write`` a block, and a column object that
+    several of them hold is formatted once a block.  A block's text is its cells side by
+    side, the last separator of each row made a newline, with the NUL bytes dropped."""
     for group in (files[i:i + _OPEN_FILES] for i in range(0, len(files), _OPEN_FILES)):
         with contextlib.ExitStack() as stack:
             csvs = []
             for path, header, body in group:
-                f = stack.enter_context(open(path, "w", encoding="utf-8"))
-                f.write(body if header is None else ",".join(header) + "\n")
+                f = stack.enter_context(open(path, "wb"))
+                f.write((body if header is None else ",".join(header) + "\n").encode())
                 csvs += [] if header is None else [(f, body, len(body[0]))]
             uses = collections.Counter(id(c) for _, columns, _ in csvs for c in columns)
             shared = {id(c): c for _, columns, _ in csvs for c in columns if uses[id(c)] > 1}
             for i in range(0, max((n for *_, n in csvs), default=0), _CSV_BLOCK):
                 rows = slice(i, i + _CSV_BLOCK)
-                cells = {key: list(_csv_cells(c, rows)) for key, c in shared.items()}
+                cells = {key: _csv_cells(c, rows) for key, c in shared.items()}
                 for f, columns, n in csvs:
                     if i < n:
-                        block = [cells.get(id(c)) or _csv_cells(c, rows) for c in columns]
-                        f.write("\n".join(map(",".join, zip(*block))) + "\n")
+                        shape = (min(n - i, _CSV_BLOCK), len(columns), floattext.CELL)
+                        text = bytearray(math.prod(shape))
+                        block = np.frombuffer(text, np.uint8).reshape(shape)
+                        for j, c in enumerate(columns):
+                            block[:, j] = cells[id(c)] if id(c) in cells else _csv_cells(c, rows)
+                        block[:, -1, -1] = ord("\n")
+                        f.write(text.translate(None, b"\0"))
 
 
 @dataclass(frozen=True)

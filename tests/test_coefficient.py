@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kirchhofflab
+from kirchhofflab import coefficient, floattext
 from kirchhofflab import (
     AdmissibleClass,
     CoefficientPath,
@@ -77,6 +80,120 @@ class TestCoefficientPath:
         assert f.read_bytes() == ("\n".join(["t,c", *rows]) + "\n").encode()
         q = CoefficientPath.from_csv(f)
         assert np.array_equal(q.values, c) and np.array_equal(np.signbit(q.values), np.signbit(c))
+
+
+def written(values) -> list[str]:
+    """The text floattext writes for each of ``values``."""
+    cells = floattext.repr_cells(np.asarray(values, dtype=float))
+    return cells.tobytes().translate(None, b"\0").decode().split(",")[:-1]
+
+
+def reprs(values) -> list[str]:
+    return [repr(v) for v in np.asarray(values, dtype=float).tolist()]
+
+
+def with_neighbours(x):
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+class TestReprCells:
+    """Every cell is repr(float(x)), byte for byte: repr is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_any_bit_pattern_is_written_as_repr(self, patterns):
+        x = np.array(patterns, dtype=np.uint64).view(np.float64)  # NaN payloads, subnormals
+        assert written(x) == reprs(x)
+
+    def test_every_power_of_two_and_its_neighbours(self):
+        x = with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))
+        assert written(x) == reprs(x) and written(-x) == reprs(-x)
+
+    def test_every_power_of_ten_and_its_neighbours(self):
+        x = with_neighbours([float(f"1e{e}") for e in range(-323, 309)])
+        assert written(x) == reprs(x) and written(-x) == reprs(-x)
+
+    def test_integers_up_to_two_to_the_53(self):
+        rng = np.random.default_rng(27)
+        edges = np.ldexp(1.0, np.arange(54))[:, None] + np.arange(-3.0, 4.0)
+        x = np.concatenate([np.arange(100001.0), edges.ravel(), rng.integers(0, 2**53, 10000)])
+        x = x[x <= 2.0**53]
+        assert written(x) == reprs(x)
+
+    def test_layout_edges_zeros_and_infinities(self):
+        x = [9999999999999998.0, 1e16, 1e-4, 1e-5, 0.5, 5e-324, 1.5e-5, 123456789012345680.0,
+             1e22, 1e23, 0.1, -0.0, 0.0, np.inf, -np.inf, np.nan]
+        assert written(x) == reprs(x)
+        assert written([1e16, 1e-4, 1e-5, -0.0]) == ["1e+16", "0.0001", "1e-05", "-0.0"]
+
+    def test_the_fallback_alone_writes_the_same_text(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        usual = rng.standard_normal(4000) * 10.0 ** rng.integers(-12, 12, 4000)
+        x = np.concatenate([usual, np.arange(-50.0, 50.0) / 8,
+                            rng.integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64)])
+        fast = written(x)
+        digits = floattext._digits
+        assert digits(usual, floattext._tables[0])[2].all()  # the fast path is taken
+
+        def uncertified(x, scales):
+            d, k, _, sign = digits(x, scales)
+            return d, k, np.zeros(x.shape, bool), sign
+
+        monkeypatch.setattr(floattext, "_digits", uncertified)
+        assert written(x) == fast == reprs(x)
+
+    def test_importing_the_package_builds_no_table(self):
+        code = """
+import sys
+import kirchhofflab
+from kirchhofflab import floattext
+assert floattext._tables is None
+assert not {"decimal", "fractions"} & set(sys.modules)
+floattext.repr_cells([0.5])
+assert floattext._tables is not None
+"""
+        src = str(Path(kirchhofflab.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                       timeout=60, check=True)
+
+
+def row_join(header, columns) -> bytes:
+    """The CSV text of ``columns`` by the row join the writer replaces."""
+    cells = [map(str if np.issubdtype(np.asarray(c).dtype, np.integer) else repr,
+                 np.asarray(c).tolist()) for c in columns]
+    return ("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n").encode()
+
+
+BLOCK = coefficient._CSV_BLOCK
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_any_number_of_rows_matches_the_row_join(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        columns = [np.linspace(0.0, 1.0, rows),
+                   rng.standard_normal(rows) * 10.0 ** rng.integers(-12, 20, rows), np.arange(rows)]
+        coefficient._write_files([(tmp_path / "a.csv", ["t", "v", "i"], columns)])
+        assert (tmp_path / "a.csv").read_bytes() == row_join(["t", "v", "i"], columns)
+
+    def test_integer_and_float_columns_like_distances(self, tmp_path):
+        distances = np.array([0.12, 3.4e-5, 1.1e-9, 2.0e-13, 0.0])
+        columns = [np.arange(1, 6), distances]
+        coefficient._write_files([(tmp_path / "d.csv", ["iteration", "distance"], columns)])
+        text = (tmp_path / "d.csv").read_bytes()
+        assert text == row_join(["iteration", "distance"], columns)
+        assert text.splitlines()[1:3] == [b"1,0.12", b"2,3.4e-05"]
+
+    def test_a_shared_column_reads_the_same_in_every_file_of_a_group(self, tmp_path):
+        rows = 2 * coefficient._CSV_BLOCK + 5
+        t = np.linspace(0.0, 2.0, rows)
+        a, b = np.sin(7.0 * t), np.exp(-t) * 1e-6
+        files = [(tmp_path / f"{k}.csv", ["t", k], [t, c]) for k, c in (("a", a), ("b", b))]
+        coefficient._write_files([*files, (tmp_path / "r.json", None, "{}\n")])
+        for path, header, columns in files:
+            assert path.read_bytes() == row_join(header, columns)
+        assert (tmp_path / "r.json").read_text() == "{}\n"
 
 
 class TestCheckAdmissibility:
