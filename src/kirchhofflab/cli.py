@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -38,7 +39,7 @@ import numpy as np
 from . import certificate as cert
 from .coefficient import AdmissibleClass, _shared, _write_files, check_admissibility
 from .errors import HypothesisError, RangeOverflowError, ScenarioError, StabilityError
-from .linear import (LinearProblem, _mode_audit, decay_integral_bound, solve_linear,
+from .linear import (LinearProblem, _mode_audits, decay_integral_bound, solve_linear,
                      verify_energy_bound)
 from .linear import approximate_energy, decay_integral  # noqa: F401, perfbench patches them here
 from .nonlinear import KirchhoffRun, _oracle_blocks, check_induced_speed, fixed_point_solve
@@ -252,11 +253,10 @@ def cmd_linear_audit(scn: Scenario) -> tuple:
     quad_tol = 1e-6
     modes, jobs = [], []
     all_ok = True
-    for k in range(basis.count):
+    audits = _mode_audits(traj.times, traj.position, traj.velocity, basis.frequencies, coeff,
+                          cls, scn.gevrey, scn.sigma)
+    for k, (energy, integral, worst_uptick) in enumerate(audits):
         mu, v, vdot = float(basis.frequencies[k]), traj.position[k], traj.velocity[k]
-        energy, integral = _mode_audit(traj.times, v, vdot, mu, coeff, cls, scn.gevrey, scn.sigma)
-        upticks = np.diff(energy) / np.maximum(energy[:-1], 1e-300)
-        worst_uptick = float(np.max(upticks)) if upticks.size else 0.0
         bound_k = decay_integral_bound(mu, cls, scn.gevrey.s)
         ok = worst_uptick <= mono_rtol and integral <= bound_k + quad_tol
         all_ok = all_ok and ok
@@ -352,10 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`'s parser, built on the first :func:`main` of a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -25,14 +25,24 @@ _CSV_BLOCK = 1024
 _OPEN_FILES = 32  # the most files a writer holds open
 
 
-def _csv_cells(column, rows: slice) -> np.ndarray:
-    """Cells of ``column[rows]`` as a (rows, ``floattext.CELL``) uint8 array, one row a cell:
-    its text and a "," among NUL bytes, which the writer drops.  An integer cell's text is
-    ``str`` of the value; a float cell's is exactly ``repr(float(x))`` (see :mod:`.floattext`)."""
-    c = np.asarray(column)[rows]
-    if np.issubdtype(c.dtype, np.integer):
-        return floattext.text_cells(map(str, c.tolist()), c.size)
-    return floattext.repr_cells(c.astype(float))
+def _csv_cells(columns, rows: slice) -> list[np.ndarray]:
+    """Cells of each ``column[rows]`` of ``columns``, each a (rows, ``floattext.CELL``) uint8
+    array, one row a cell: its text and a "," among NUL bytes, which the writer drops.  An
+    integer cell's text is ``str`` of the value; a float cell's is exactly ``repr(float(x))``
+    (see :mod:`.floattext`).  The float columns are formatted in one call on their
+    concatenation, which moves no byte: each cell is formatted alone."""
+    cs = [np.asarray(c)[rows] for c in columns]
+    floats = [c for c in cs if not np.issubdtype(c.dtype, np.integer)]
+    if floats:
+        cells = floattext.repr_cells(np.concatenate(floats, dtype=float, casting="unsafe"))
+    out, at = [], 0
+    for c in cs:
+        if np.issubdtype(c.dtype, np.integer):
+            out.append(floattext.text_cells(map(str, c.tolist()), c.size))
+        else:
+            out.append(cells[at:at + c.size])
+            at += c.size
+    return out
 
 
 def _shared(column, like):
@@ -46,8 +56,9 @@ def _shared(column, like):
 def _write_files(files) -> None:
     """Write every ``(path, header, body)`` of ``files``: CSV columns under ``header``, or a
     report's text if it is None.  Up to _OPEN_FILES consecutive files are open at once; their
-    rows go out in blocks of _CSV_BLOCK, one ``write`` a block, and a column object that
-    several of them hold is formatted once a block.  A block's text is its cells side by
+    rows go out in blocks of _CSV_BLOCK, one ``write`` a block.  A column object that several
+    of them hold is formatted once a block, all such columns in one :func:`_csv_cells` call,
+    and each file's other columns in one call a block.  A block's text is its cells side by
     side, the last separator of each row made a newline, with the NUL bytes dropped."""
     for group in (files[i:i + _OPEN_FILES] for i in range(0, len(files), _OPEN_FILES)):
         with contextlib.ExitStack() as stack:
@@ -60,14 +71,16 @@ def _write_files(files) -> None:
             shared = {id(c): c for _, columns, _ in csvs for c in columns if uses[id(c)] > 1}
             for i in range(0, max((n for *_, n in csvs), default=0), _CSV_BLOCK):
                 rows = slice(i, i + _CSV_BLOCK)
-                cells = {key: _csv_cells(c, rows) for key, c in shared.items()}
+                cells = dict(zip(shared, _csv_cells(shared.values(), rows) if shared else ()))
                 for f, columns, n in csvs:
                     if i < n:
                         shape = (min(n - i, _CSV_BLOCK), len(columns), floattext.CELL)
                         text = bytearray(math.prod(shape))
                         block = np.frombuffer(text, np.uint8).reshape(shape)
+                        own = [c for c in columns if id(c) not in cells]
+                        mine = iter(_csv_cells(own, rows) if own else ())
                         for j, c in enumerate(columns):
-                            block[:, j] = cells[id(c)] if id(c) in cells else _csv_cells(c, rows)
+                            block[:, j] = cells[id(c)] if id(c) in cells else next(mine)
                         block[:, -1, -1] = ord("\n")
                         f.write(text.translate(None, b"\0"))
 
@@ -347,10 +360,17 @@ def graded_grid(
     t_stop = horizon - end_gap
     if not t_stop < horizon:
         raise ValueError(f"end gap {end_gap} is below the resolution of horizon {horizon}")
-    out = [0.0]
-    t = 0.0
+    # The uniform prefix, summed in turn by one cumsum as the loop would sum it: up to 2^22
+    # candidate steps, kept up to the first that the loop would take otherwise.  The loop
+    # takes the rest.  Below 2^22 steps, t + base_step > t: the one-ulp floor never applies.
+    count = int(min(t_stop / base_step, 2**22)) + 1
+    with np.errstate(over="ignore"):  # a candidate past the double range is past t_stop
+        sums = np.cumsum(np.concatenate(([0.0], np.full(count, base_step))))
+    same = (base_step <= (1.0 - grading_ratio) * (horizon - sums[:-1])) & (sums[1:] <= t_stop)
+    prefix = sums[:1 + np.argmin(np.append(same, False))]
+    out, t = [], float(prefix[-1])
     while t < t_stop:
         h = min(base_step, (1.0 - grading_ratio) * (horizon - t))
         t = min(max(t + h, math.nextafter(t, math.inf)), t_stop)
         out.append(t)
-    return np.array(out)
+    return np.concatenate((prefix, out))

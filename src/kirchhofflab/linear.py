@@ -273,23 +273,20 @@ def _freeze_time(mu: float, cls: AdmissibleClass, s: float):
     return (True, None) if low else (False, cls.T - mu ** (-p))
 
 
-def _regularized_speeds(
-    coeff: CoefficientPath, times: np.ndarray, mu: float, cls: AdmissibleClass, s: float
-) -> np.ndarray:
-    """Regularised speed c_reg of frequency ``mu`` at each of ``times``.
+def _freeze(coeff: CoefficientPath, mus, cls: AdmissibleClass, s: float):
+    """(t_f, c_f) of each frequency of ``mus``: c_reg is the path up to t_f and c_f after it.
 
-    Low-frequency modes see the constant horizon value; high-frequency modes
-    see c(t) until the freeze time and the frozen value c(t_freeze) after it.
-    Only times up to the freeze time are evaluated on the path.
+    Low-frequency modes get t_f = -inf and the horizon value of the speed; high-frequency
+    modes their freeze time and c(t_f).
     """
-    low, t_f = _freeze_time(mu, cls, s)
-    if low:  # a path that stops short of T has its final sample stand in for c(T)
-        end = float(coeff.values[-1]) if coeff.end_time < cls.T else coeff.evaluate(cls.T)
-        return np.full(times.shape, end)
-    out = np.full(times.shape, coeff.evaluate(min(t_f, coeff.end_time)))
-    follow = times <= t_f
-    out[follow] = coeff.evaluate(times[follow])
-    return out
+    t_f = np.array([-math.inf if low else t
+                    for low, t in (_freeze_time(mu, cls, s) for mu in mus)])
+    c_f = np.empty(t_f.shape)
+    high = t_f > -math.inf
+    if not high.all():  # a path that stops short of T has its final sample stand in for c(T)
+        c_f[~high] = float(coeff.values[-1]) if coeff.end_time < cls.T else coeff.evaluate(cls.T)
+    c_f[high] = coeff.evaluate(np.minimum(t_f[high], coeff.end_time))
+    return t_f, c_f
 
 
 def regularized_speed(
@@ -298,7 +295,8 @@ def regularized_speed(
     """Frequency-dependent regularisation of the speed at one time in [0, T]."""
     if t < 0.0 or t > cls.T * (1.0 + 1e-12):
         raise ValueError(f"time {t} outside [0, {cls.T}]")
-    return float(_regularized_speeds(coeff, np.array([float(t)]), mu, cls, s)[0])
+    (t_f,), (c_f,) = _freeze(coeff, [mu], cls, s)
+    return coeff.evaluate(float(t)) if t <= t_f else float(c_f)
 
 
 def decay_integral_bound(mu: float, cls: AdmissibleClass, s: float) -> float:
@@ -315,40 +313,55 @@ def decay_integral_bound(mu: float, cls: AdmissibleClass, s: float) -> float:
                      + 4.0 * cls.M**2 / cls.m0 * mu ** (1.0 - 1.0 / r), what)
 
 
-def _decay_cumulative(
-    coeff: CoefficientPath,
-    eval_times: np.ndarray,
-    mu: float,
-    cls: AdmissibleClass,
-    s: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite trapezoid of the decay rate from 0 to each evaluation time, and c_reg on the
-    path's own grid.
+def _decay_quadrature(coeff: CoefficientPath, eval_times: np.ndarray, cls: AdmissibleClass,
+                      s: float):
+    """``cumulative(mus)``: for each frequency of ``mus`` (a float array), the composite
+    trapezoid of the decay rate from 0 to each evaluation time, and c_reg on the path's own
+    grid, as (modes, times) arrays.
 
     The quadrature splits at every path breakpoint and at the freeze time, so
     each piece lies in a single linear segment of the path and a single branch
     of the rate; within a piece the rate is evaluated with that segment's own
     slope, which sidesteps the slope jumps at breakpoints.  Pieces past the
     last evaluation time leave the running sum before it unchanged.
+
+    The grid union, the path's values and slopes on it and the index maps are built once.
+    A mode's row splits the union at its freeze time if that is a new point, else it ends in
+    an unread piece of zero width: its bits are those of a quadrature of that mode alone.
     """
-    low, t_f = _freeze_time(mu, cls, s)
     pts = np.union1d(coeff.times, eval_times)  # the path starts at 0
-    if not low and 0.0 < t_f < pts[-1]:
-        pts = np.union1d(pts, [t_f])
-    a, b = pts[:-1], pts[1:]
-
-    c, c_reg = coeff.evaluate(pts), _regularized_speeds(coeff, pts, mu, cls, s)
-    gap = np.abs(c_reg - c)
+    n, c = pts.size, coeff.evaluate(pts)
+    seg = np.searchsorted(coeff.times, pts[:-1], side="right") - 1  # each piece's segment
+    slopes = np.abs(coeff.interval_slopes()[np.clip(seg, 0, coeff.times.size - 2)])
+    slopes = np.append(slopes, 0.0)  # and the zero-width piece's
+    at_eval, at_path = np.searchsorted(pts, eval_times), np.searchsorted(pts, coeff.times)
     gamma = 2.0 * cls.M / cls.m0
-    contrib = 0.5 * (b - a) * gamma * mu * (gap[:-1] + gap[1:])
-    if not low:
-        seg = np.clip(np.searchsorted(coeff.times, a, side="right") - 1, 0, coeff.times.size - 2)
-        slopes = coeff.interval_slopes()[seg]
-        follow_part = (b - a) * np.abs(slopes) * (1.0 / c[:-1] + 1.0 / c[1:])
-        contrib = np.where(b <= t_f, follow_part, contrib)
+    col = np.arange(n + 1)
 
-    cum = np.concatenate(([0.0], np.cumsum(contrib)))
-    return cum[np.searchsorted(pts, eval_times)], c_reg[np.searchsorted(pts, coeff.times)]
+    def cumulative(mus):
+        t_f, c_f = _freeze(coeff, mus.tolist(), cls, s)
+        j = np.searchsorted(pts, t_f)
+        split = (0.0 < t_f) & (t_f < pts[-1]) & (pts[np.minimum(j, n - 1)] != t_f)
+        j = np.where(split, j, n)[:, None]  # t_f's column, or n: the zero-width piece
+        src = col - (col > j)  # the union's point at every other column
+        x, cx = pts.take(src, mode="clip"), c.take(src, mode="clip")
+        rows = np.flatnonzero(split)
+        x[rows, j[rows, 0]] = t_f[rows]
+        cx[rows, j[rows, 0]] = c_f[rows]  # c(t_f) is c_f: both are the path at min(t_f, end)
+        t_f, c_f = t_f[:, None], c_f[:, None]
+        width = x[:, 1:] - x[:, :-1]
+        c_reg = np.where(x <= t_f, cx, c_f)
+        gap = np.abs(c_reg - cx)
+        contrib = 0.5 * width * gamma * mus[:, None] * (gap[:, :-1] + gap[:, 1:])
+        # a piece before t_f is the union's own piece: pieces after it take the gap branch
+        follow = width * slopes.take(src[:, :-1]) * (1.0 / cx[:, :-1] + 1.0 / cx[:, 1:])
+        np.copyto(contrib, follow, where=x[:, 1:] <= t_f)
+        cum = np.zeros(x.shape)
+        np.cumsum(contrib, axis=1, out=cum[:, 1:])
+        at = (n + 1) * np.arange(mus.size)[:, None]  # each row's start in the flat arrays
+        return cum.take(at + at_eval + (at_eval >= j)), c_reg.take(at + at_path + (at_path >= j))
+
+    return cumulative
 
 
 def decay_integral(
@@ -357,26 +370,45 @@ def decay_integral(
     """Trapezoid quadrature of the decay rate over [0, t] on the path grid."""
     if t < 0.0 or t > min(cls.T, coeff.end_time) * (1.0 + 1e-12):
         raise ValueError(f"time {t} outside the integrable range")
-    return float(_decay_cumulative(coeff, np.array([0.0, t]), mu, cls, s)[0][-1])
+    return float(_decay_quadrature(coeff, np.array([0.0, t]), cls, s)(np.array([mu]))[0][0, -1])
 
 
 # ---------------------------------------------------------------------------
 # Weighted per-mode energy and the interval energy bound
 # ---------------------------------------------------------------------------
 
-def _mode_audit(times, v, vdot, mu, coeff, cls, gp, sigma) -> tuple[np.ndarray, float]:
-    """One mode's weighted energy at ``times`` and its decay integral A(times[-1]), from one
-    quadrature of the decay rate; see :func:`approximate_energy`.  ``times`` has the path's
-    size, and the energy at ``times[i]`` takes c_reg at the path's ``i``-th time."""
-    acc, c_reg = _decay_cumulative(coeff, times, mu, cls, gp.s)
-    exponent = -acc + gp.eta * mu ** (1.0 / gp.s) + (sigma - 1.0) * (2.0 * math.log(mu))
-    if float(np.max(exponent)) > _LOG_MAX:
-        raise RangeOverflowError(
-            "energy weight overflows double range",
-            log_value=float(np.max(exponent)),
-        )
-    raw = vdot**2 + (c_reg * mu) ** 2 * v**2
-    return raw * np.exp(exponent), float(acc[-1])
+_AUDIT_DOUBLES = 1 << 13  # the largest (modes x samples) temporary of the mode audit
+
+
+def _mode_audits(times, V, W, mus, coeff, cls, gp, sigma):
+    """Yield each mode's weighted energy at ``times`` (see :func:`approximate_energy`), decay
+    integral A(times[-1]) and largest relative energy rise between neighbouring times, from one
+    quadrature of the decay rate; mode k has frequency ``mus[k]`` and (v, v') = (V[k], W[k]).
+    ``times`` has the path's size, and the energy at ``times[i]`` takes c_reg at the path's
+    ``i``-th time.  Modes go in chunks of temporaries of about _AUDIT_DOUBLES doubles; a mode
+    whose weight overflows raises once every mode before it has been yielded."""
+    cumulative = _decay_quadrature(coeff, times, cls, gp.s)
+    mus = np.asarray(mus, dtype=float)
+    step = max(1, _AUDIT_DOUBLES // (times.size + 1))
+    for lo in range(0, mus.size, step):
+        mu = mus[lo:lo + step]
+        acc, c_reg = cumulative(mu)
+        # each mode's own terms, Python floats as in an audit of that mode alone
+        weight = [gp.eta * m ** (1.0 / gp.s) for m in mu.tolist()]
+        order = [(sigma - 1.0) * (2.0 * math.log(m)) for m in mu.tolist()]
+        exponent = (-acc + np.array(weight)[:, None]) + np.array(order)[:, None]
+        top = np.max(exponent, axis=1)
+        over = np.flatnonzero(top > _LOG_MAX)
+        size = int(over[0]) if over.size else mu.size
+        v, w = V[lo:lo + size], W[lo:lo + size]
+        energy = w**2 + (c_reg[:size] * mu[:size, None]) ** 2 * v**2
+        energy *= np.exp(exponent[:size])
+        upticks = np.diff(energy, axis=1) / np.maximum(energy[:, :-1], 1e-300)
+        worst = np.max(upticks, axis=1) if upticks.shape[1] else np.zeros(size)
+        yield from zip(energy, acc[:size, -1].tolist(), worst.tolist())
+        if size < mu.size:
+            raise RangeOverflowError("energy weight overflows double range",
+                                     log_value=float(top[size]))
 
 
 def approximate_energy(
@@ -396,7 +428,9 @@ def approximate_energy(
         traj.times, coeff.times, rtol=0.0, atol=1e-12
     ):
         raise ValueError("trajectory and coefficient must share the same time grid")
-    return _mode_audit(traj.times, traj.v, traj.vdot, traj.mu, coeff, cls, gp, sigma)[0]
+    audits = _mode_audits(traj.times, traj.v[None], traj.vdot[None], [traj.mu], coeff, cls, gp,
+                          sigma)
+    return next(audits)[0]
 
 
 def radius_loss(cls: AdmissibleClass) -> float:

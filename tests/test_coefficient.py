@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +169,42 @@ def row_join(header, columns) -> bytes:
 BLOCK = coefficient._CSV_BLOCK
 
 
+@st.composite
+def writer_cases(draw):
+    """1-40 CSV files of 0-2,100 rows, with integer and float columns (ordinary values,
+    short decimals and raw bit patterns), and a float column that some of them share."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def column(rows, integer):
+        if integer:
+            return rng.integers(-10**15, 10**15, rows)
+        bits = rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+        return np.where(rng.random(rows) < 0.2, bits, np.round(values, rng.integers(0, 4)))
+
+    shared_rows = draw(st.integers(0, 2100))
+    shared = column(shared_rows, False)
+    files = []
+    for k in range(draw(st.integers(1, 40))):
+        holds = draw(st.booleans())
+        rows = shared_rows if holds else draw(st.integers(0, 2100))
+        columns = [column(rows, draw(st.booleans())) for _ in range(draw(st.integers(1, 3)))]
+        if holds:
+            columns.insert(draw(st.integers(0, len(columns))), shared)
+        files.append((f"f{k}.csv", [f"c{j}" for j in range(len(columns))], columns))
+    return files
+
+
 class TestCsvWriter:
+    @settings(max_examples=12, deadline=None)
+    @given(files=writer_cases())
+    def test_any_files_match_the_row_join(self, tmp_path_factory, files):
+        # across the 32-file group and the 1,024-row block, with a column shared by some files
+        out = tmp_path_factory.mktemp("csv")
+        coefficient._write_files([(out / name, header, body) for name, header, body in files])
+        for name, header, body in files:
+            assert (out / name).read_bytes() == row_join(header, body)
+
     @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
     def test_any_number_of_rows_matches_the_row_join(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
@@ -380,3 +416,37 @@ for horizon, base, ratio, gap in cases:
             timeout=60,
             check=True,
         )
+
+
+def reference_graded_grid(horizon, base_step, grading_ratio, end_gap):
+    """The graded grid by the step loop alone, as it was built before its uniform prefix was
+    one cumsum."""
+    t_stop, out, t = horizon - end_gap, [0.0], 0.0
+    while t < t_stop:
+        h = min(base_step, (1.0 - grading_ratio) * (horizon - t))
+        t = min(max(t + h, np.nextafter(t, np.inf)), t_stop)
+        out.append(t)
+    return np.array(out)
+
+
+class TestGradedPrefix:
+    @settings(max_examples=300, deadline=None)
+    @given(horizon=st.floats(1e-3, 1e3), steps=st.integers(1, 3000),
+           ratio=st.floats(0.05, 0.995), gap=st.floats(1e-12, 0.5))
+    def test_the_uniform_prefix_keeps_the_loops_bytes(self, horizon, steps, ratio, gap):
+        gap *= horizon
+        assert (graded_grid(horizon, horizon / steps, ratio, gap).tobytes()
+                == reference_graded_grid(horizon, horizon / steps, ratio, gap).tobytes())
+
+    @pytest.mark.parametrize("horizon, base_step, ratio, gap", [
+        (1.0, 1e-3, 0.9, 1e-9),  # the shipped audit grid
+        (1.0, 0.5, 0.9, 1e-9),  # graded from the first step
+        (1.0, 0.3, 0.5, 0.6),  # a uniform step would pass t_stop
+        (1e300, 1e297, 0.9, 1e290),
+        (float.fromhex("0x1.fffffffffffffp+1023"), 6e304, 0.9, 1e300),  # sums past the range
+    ])
+    def test_edges_keep_the_loops_bytes(self, horizon, base_step, ratio, gap):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = graded_grid(horizon, base_step, ratio, gap)
+        assert grid.tobytes() == reference_graded_grid(horizon, base_step, ratio, gap).tobytes()

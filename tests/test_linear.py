@@ -1,6 +1,7 @@
 """Mode solver, speed regularisation, decay integrals and the energy audit."""
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,8 +35,9 @@ from kirchhofflab import (
     uniform_grid,
     verify_energy_bound,
 )
-from kirchhofflab.linear import (BLOCK_MODES, GUARD, _decay_cumulative, _freeze_time, _mode_audit,
-                                 _regularized_speeds, _rk4_blocks, _rk4_coefficients, _rk4_march,
+from kirchhofflab import linear
+from kirchhofflab.linear import (BLOCK_MODES, GUARD, _LOG_MAX, _decay_quadrature, _freeze_time,
+                                 _mode_audits, _rk4_blocks, _rk4_coefficients, _rk4_march,
                                  _rk4_modes)
 
 Q, S, T = 1.5, 2.0, 1.0
@@ -691,7 +693,8 @@ class TestModeAudit:
         coeff = audit_path(freeze, speed, cls, s, steps, mu)
         gp, t = GevreyParams(s, eta), coeff.times
         v, vdot = np.cos(mu * t), -mu * np.sin(mu * t)
-        energy, integral = _mode_audit(t, v, vdot, mu, coeff, cls, gp, sigma)
+        energy, integral, _ = next(_mode_audits(t, v[None], vdot[None], [mu], coeff, cls, gp,
+                                                sigma))
 
         assert integral == decay_integral(coeff, coeff.end_time, mu, cls, s)
         mt = ModeTrajectory(t, v, vdot, mu)
@@ -717,11 +720,112 @@ class TestModeAudit:
         gp = GevreyParams(2.0, 3.0)
         energy = approximate_energy(ModeTrajectory(t, v, vdot, mu), coeff, cls, gp, 1.5)
 
-        acc = _decay_cumulative(coeff, t, mu, cls, gp.s)[0]
-        c_reg = _regularized_speeds(coeff, coeff.times, mu, cls, gp.s)
+        acc = _decay_quadrature(coeff, t, cls, gp.s)(np.array([mu]))[0][0]
+        c_reg = np.array([regularized_speed(coeff, ti, mu, cls, gp.s) for ti in coeff.times])
         exponent = -acc + gp.eta * mu ** (1.0 / gp.s) + 0.5 * (2.0 * math.log(mu))
         reference = (vdot**2 + (c_reg * mu) ** 2 * v**2) * np.exp(exponent)
         assert energy.tobytes() == reference.tobytes()
+
+
+def reference_decay_cumulative(coeff, eval_times, mu, cls, s):
+    """The decay quadrature of one mode, as it was before modes were batched."""
+    low, t_f = _freeze_time(mu, cls, s)
+    pts = np.union1d(coeff.times, eval_times)
+    if not low and 0.0 < t_f < pts[-1]:
+        pts = np.union1d(pts, [t_f])
+    a, b = pts[:-1], pts[1:]
+    c = coeff.evaluate(pts)
+    if low:
+        end = float(coeff.values[-1]) if coeff.end_time < cls.T else coeff.evaluate(cls.T)
+        c_reg = np.full(pts.shape, end)
+    else:
+        c_reg = np.full(pts.shape, coeff.evaluate(min(t_f, coeff.end_time)))
+        follow = pts <= t_f
+        c_reg[follow] = coeff.evaluate(pts[follow])
+    gap = np.abs(c_reg - c)
+    gamma = 2.0 * cls.M / cls.m0
+    contrib = 0.5 * (b - a) * gamma * mu * (gap[:-1] + gap[1:])
+    if not low:
+        seg = np.clip(np.searchsorted(coeff.times, a, side="right") - 1, 0, coeff.times.size - 2)
+        slopes = coeff.interval_slopes()[seg]
+        follow_part = (b - a) * np.abs(slopes) * (1.0 / c[:-1] + 1.0 / c[1:])
+        contrib = np.where(b <= t_f, follow_part, contrib)
+    cum = np.concatenate(([0.0], np.cumsum(contrib)))
+    return cum[np.searchsorted(pts, eval_times)], c_reg[np.searchsorted(pts, coeff.times)]
+
+
+def reference_mode_audit(times, v, vdot, mu, coeff, cls, gp, sigma):
+    """One mode's (energy, decay integral, worst uptick), as the audit loop formed them before
+    modes were batched."""
+    acc, c_reg = reference_decay_cumulative(coeff, times, mu, cls, gp.s)
+    exponent = -acc + gp.eta * mu ** (1.0 / gp.s) + (sigma - 1.0) * (2.0 * math.log(mu))
+    if float(np.max(exponent)) > _LOG_MAX:
+        raise RangeOverflowError("energy weight overflows double range",
+                                 log_value=float(np.max(exponent)))
+    energy = (vdot**2 + (c_reg * mu) ** 2 * v**2) * np.exp(exponent)
+    upticks = np.diff(energy) / np.maximum(energy[:-1], 1e-300)
+    return energy, float(acc[-1]), float(np.max(upticks)) if upticks.size else 0.0
+
+
+@st.composite
+def batched_audit_cases(draw):
+    """Modes of both branches on one graded path, some with t_f on a grid point, some past the
+    path's end, and a chunk size of 1-5 modes."""
+    q, s = draw(st.floats(1.05, 1.95)), draw(st.floats(1.1, 4.0))
+    speed = OscillatingSpeed(q=q, T=1.0, amplitude=draw(st.floats(0.0, 0.3)),
+                             offset=draw(st.floats(1.0, 3.0)))
+    cls = AdmissibleClass(q, speed.value_max, speed.amplitude, 1.0, speed.value_min)
+    mus = draw(st.lists(st.one_of(st.floats(0.3, 1.0), st.floats(1.0, 100.0),
+                                  st.integers(2, 100).map(float)), min_size=1, max_size=12))
+    on = draw(st.lists(st.booleans(), min_size=len(mus), max_size=len(mus)))
+    grid = graded_grid(1.0, 1.0 / draw(st.integers(20, 150)), 0.9,
+                       draw(st.sampled_from([1e-9, 1e-3, 0.05])))
+    freeze = [_freeze_time(mu, cls, s) for mu in mus]
+    grid = np.union1d(grid, [t for (low, t), put in zip(freeze, on)
+                             if put and not low and 0.0 < t < grid[-1]])
+    return (speed.sample(grid), cls, GevreyParams(s, draw(st.floats(0.5, 3.0))),
+            draw(st.floats(1.0, 3.0)), np.array(mus), draw(st.integers(1, 5)))
+
+
+class TestModeAudits:
+    @settings(max_examples=60, deadline=None)
+    @given(case=batched_audit_cases())
+    def test_the_batched_audit_keeps_every_bit_of_each_mode_alone(self, case):
+        # each mode's energy, decay integral and worst uptick, at any chunk of modes, equal
+        # the per-mode reference, approximate_energy and decay_integral to the bit
+        coeff, cls, gp, sigma, mus, chunk = case
+        t = coeff.times
+        V = np.cos(np.outer(mus, t) + np.arange(mus.size)[:, None])
+        W = -mus[:, None] * np.sin(np.outer(mus, t))
+        with mock.patch.object(linear, "_AUDIT_DOUBLES", chunk * (t.size + 1)):
+            audits = list(_mode_audits(t, V, W, mus, coeff, cls, gp, sigma))
+        assert len(audits) == mus.size
+        for k, (energy, integral, worst) in enumerate(audits):
+            mu = float(mus[k])
+            ref_energy, ref_integral, ref_worst = reference_mode_audit(t, V[k], W[k], mu, coeff,
+                                                                       cls, gp, sigma)
+            assert energy.tobytes() == ref_energy.tobytes()
+            assert integral == ref_integral == decay_integral(coeff, coeff.end_time, mu, cls,
+                                                              gp.s)
+            assert worst == ref_worst
+            mt = ModeTrajectory(t, V[k], W[k], mu)
+            assert energy.tobytes() == approximate_energy(mt, coeff, cls, gp, sigma).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 8])
+    def test_a_weight_that_overflows_raises_after_the_modes_before_it(self, chunk):
+        # mu = 1 has a weight of exp(-A + eta) whatever sigma is; mu = 5 overflows at sigma 1e3
+        coeff, cls = oscillating_path(1e-2), audit_class()
+        t, mus = coeff.times, np.array([1.0, 1.0, 5.0, 1.0])
+        V, W = np.ones((4, t.size)), np.zeros((4, t.size))
+        gp = GevreyParams(S, 1.0)
+        with pytest.raises(RangeOverflowError) as err:
+            reference_mode_audit(t, V[2], W[2], 5.0, coeff, cls, gp, 1e3)
+        yielded = []
+        with mock.patch.object(linear, "_AUDIT_DOUBLES", chunk * (t.size + 1)), \
+                pytest.raises(RangeOverflowError, match="energy weight overflows") as raised:
+            for audit in _mode_audits(t, V, W, mus, coeff, cls, gp, 1e3):
+                yielded.append(audit)
+        assert len(yielded) == 2 and raised.value.log_value == err.value.log_value
 
 
 class TestEtaPrime:

@@ -562,8 +562,8 @@ class TestCliExitCodes:
     def test_a_column_off_by_its_last_bit_is_formatted_on_its_own(self, tmp_path, monkeypatch):
         formatted = []
         cells = coefficient._csv_cells
-        monkeypatch.setattr(coefficient, "_csv_cells",
-                            lambda c, rows: formatted.append(id(c)) or cells(c, rows))
+        monkeypatch.setattr(coefficient, "_csv_cells", lambda columns, rows: formatted.append(
+            [id(c) for c in columns]) or cells(columns, rows))
         t = np.linspace(0.0, 1.0, 3 * coefficient._CSV_BLOCK // 2)
         c = 1.0 + t * t
         near = np.nextafter(c, np.inf)
@@ -573,7 +573,8 @@ class TestCliExitCodes:
         coefficient._write_files([(tmp_path / "a.csv", ["t", "c"], [t, c]),
                                   (tmp_path / "b.csv", ["t", "c"], [t, _shared(c.copy(), c)]),
                                   (tmp_path / "n.csv", ["t", "c"], [t, _shared(near, c)])])
-        assert formatted == [id(t), id(c), id(near)] * 2  # once a block, near on its own
+        # the shared t and c in one call a block, near on its own
+        assert formatted == [[id(t), id(c)], [id(near)]] * 2
         a, b, n = ((tmp_path / f"{k}.csv").read_text().splitlines() for k in "abn")
         assert a == b and a[:-1] == n[:-1] and a[-1] != n[-1]
         assert n[-1] == f"{float(t[-1])!r},{float(near[-1])!r}" and near[-1] != c[-1]
@@ -923,19 +924,69 @@ def test_simulate_raises_the_march_errors_before_the_certificate(tmp_path, capsy
 
 
 def test_linear_audit_runs_one_decay_quadrature_per_mode(monkeypatch):
-    # a mode's weighted energy and its decay integral come from one cumulative
+    # the quadrature's mode-independent parts are built once a run, and each frequency is
+    # quadratured exactly once, in chunks of modes: a mode's weighted energy and its decay
+    # integral come from one cumulative
     from kirchhofflab import cli, linear
 
-    quadrature, mus = linear._decay_cumulative, []
+    build, built, mus = linear._decay_quadrature, [], []
 
-    def counted(coeff, eval_times, mu, cls, s):
-        mus.append(mu)
-        return quadrature(coeff, eval_times, mu, cls, s)
+    def counted(*args):
+        cumulative = build(*args)
+        built.append(args)
+        return lambda chunk: mus.append(chunk.tolist()) or cumulative(chunk)
 
-    monkeypatch.setattr(linear, "_decay_cumulative", counted)
+    monkeypatch.setattr(linear, "_decay_quadrature", counted)
+    monkeypatch.setattr(linear, "_AUDIT_DOUBLES", 1 << 12)  # one mode a chunk
     scn = load_scenario(scenario_path("linear-audit"))
     assert cli.cmd_linear_audit(scn)[1] == EXIT_OK
-    assert mus == scn.build_basis().frequencies.tolist()
+    assert len(built) == 1 and len(mus) > 1
+    assert sum(mus, []) == scn.build_basis().frequencies.tolist()
+
+
+def test_an_audit_write_makes_one_formatter_call_per_file_block(tmp_path, monkeypatch):
+    # 64 mode CSVs: each block, one call for each file's v, vdot and E and one for the t its
+    # group of files shares
+    from kirchhofflab import floattext
+
+    cfg = mutated_copy(tmp_path, "linear-audit", {"basis.count": 64, "grid.steps": 1000,
+                                                  "initial.family.modes": [1, 64]})
+    calls, cells = [], floattext.repr_cells
+    monkeypatch.setattr(floattext, "repr_cells", lambda x: calls.append(len(x)) or cells(x))
+    out = tmp_path / "out"
+    assert main(["linear-audit", "--config", cfg, "--workers", "1", "--out-dir", str(out)]) == 0
+    files = list(out.iterdir())
+    rows = len((out / "linear-audit-mode1.csv").read_text().splitlines()) - 1
+    blocks = -(-rows // coefficient._CSV_BLOCK)
+    assert len(files) == 65 and blocks == 2
+    assert len(calls) <= (len(files) + 1) * blocks
+
+
+def test_one_process_runs_like_fresh_ones(tmp_path, capsys, monkeypatch):
+    # the parser is built once a process: a usage error, then a fixed point, then an audit,
+    # each print and write what a fresh process does
+    from kirchhofflab import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the terminal's width
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    runs = [["fixedpoint", "--out-dir"],
+            ["fixedpoint", "--config", str(scenario_path("two-mode")), "--out-dir"],
+            ["linear-audit", "--config", str(scenario_path("linear-audit")), "--out-dir"]]
+    env = {**os.environ, "PYTHONPATH": str(Path(kirchhofflab.__file__).resolve().parents[1])}
+    fresh = [subprocess.Popen([sys.executable, "-m", "kirchhofflab.cli", *argv,
+                               str(tmp_path / f"fresh{i}")], env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) for i, argv in enumerate(runs)]
+    for i, (argv, proc) in enumerate(zip(runs, fresh)):
+        code = main([*argv, str(tmp_path / f"same{i}")])
+        stdout, stderr = proc.communicate(timeout=120)
+        assert (code, *capsys.readouterr()) == (proc.returncode, stdout, stderr)
+        written = [{p.name: p.read_bytes() for p in (tmp_path / f"{k}{i}").glob("*")}
+                   for k in ("same", "fresh")]
+        assert written[0] == written[1]
+    assert [proc.returncode for proc in fresh] == [EXIT_USAGE, EXIT_OK, EXIT_OK]
+    assert len(built) == 1
 
 
 def test_perfbench_trace_points_resolve():
